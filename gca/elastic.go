@@ -73,29 +73,30 @@ func JoinElastic(addr string, timeout time.Duration) (*ElasticComm, error) {
 	return elastic.Join(addr, tcp.Options{Timeout: timeout})
 }
 
-// elasticMemberOf walks the session's wrapper chain (the Unwrap
-// convention) down to the elastic member, composing the rank translation
-// of every SubComm crossed on the way — after one or more Shrinks the
-// base communicator is a stack of SubComms over the member. It returns
-// the member and a function mapping base-communicator ranks to
-// member-level ranks (nil, nil when no elastic transport is underneath).
+// elasticMemberOf walks the session's wrapper chain (comm.Walk) down to
+// the elastic member, composing the rank translation of every SubComm
+// crossed on the way — after one or more Shrinks the base communicator is
+// a stack of SubComms over the member. It returns the member and a
+// function mapping base-communicator ranks to member-level ranks (nil,
+// nil when no elastic transport is underneath).
 func elasticMemberOf(c comm.Comm) (*elastic.Member, func(int) int) {
+	var member *elastic.Member
 	xlate := func(r int) int { return r }
-	for cur := c; cur != nil; {
+	comm.Walk(c, func(cur comm.Comm) bool {
 		switch v := cur.(type) {
 		case *elastic.Member:
-			return v, xlate
+			member = v
+			return false
 		case *comm.SubComm:
-			sc, prev := v, xlate
-			xlate = func(r int) int { return sc.Parent(prev(r)) }
+			prev := xlate
+			xlate = func(r int) int { return v.Parent(prev(r)) }
 		}
-		u, ok := cur.(interface{ Unwrap() comm.Comm })
-		if !ok {
-			return nil, nil
-		}
-		cur = u.Unwrap()
+		return true
+	})
+	if member == nil {
+		return nil, nil
 	}
-	return nil, nil
+	return member, xlate
 }
 
 // ElasticCommOf returns the elastic communicator underneath a session's

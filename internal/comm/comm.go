@@ -7,16 +7,39 @@
 // and eager buffering so a blocking Send never deadlocks against a matching
 // Recv posted later.
 //
-// Three substrates implement Comm:
+// Four substrates implement Comm:
 //
 //   - transport/mem:  N ranks as goroutines inside one process (real
 //     parallelism, used for correctness tests and wall-clock benchmarks);
 //   - transport/tcp:  N OS processes over TCP (used by cmd/gcarun);
+//   - transport/shm:  N OS processes over one shared-memory region;
 //   - simnet:         a deterministic discrete-event simulator of an
 //     exascale machine (used to regenerate the paper's figures).
 //
-// Collective algorithms live in internal/core and never know which
-// substrate they run on.
+// The three real transports share one (source, tag) matcher,
+// transport/match, so the point-to-point semantics above are defined once;
+// the simulator matches inside its event kernel. Collective algorithms
+// live in internal/core and never know which substrate they run on.
+//
+// # Capabilities and wrappers
+//
+// Beyond Comm, a substrate may offer optional capabilities, each a small
+// interface probed by type assertion: Clock (virtual time), Deadliner
+// (per-op timeouts), FailureDetector, Locator (rank → node), Purger
+// (tag-window quiesce), SendRecver (one-call exchange), and Tester on its
+// Requests. ClockProber exists because a wrapper's method set is static:
+// a wrapper always has a Now method, and HasClock says whether a clock
+// really backs it — ask through VirtualClock, never a bare Clock assertion.
+//
+// Everything layered on a Comm — SubComm, Namespace, the metrics, flight,
+// trace, fault-tolerance, fault-injection and topology-level wrappers —
+// embeds Forward, which resolves the wrapped communicator's capabilities
+// once and passes every one of them through; a wrapper writes only its
+// data path and the methods it genuinely transforms. Walk follows the
+// wrappers' Unwrap chain for the things that are attachments rather than
+// capabilities (a metrics registry, a flight recorder). To add a wrapper:
+// embed Forward, override only what you translate, and call
+// transporttest.CheckWrapper from its package's tests.
 package comm
 
 import (
@@ -252,12 +275,12 @@ type Clock interface {
 	Now() float64
 }
 
-// ClockProber is implemented by wrappers (SubComm, the FT epoch comm, the
-// faulty chaos wrapper) that expose a Now method unconditionally but only
-// forward to a virtual clock when one actually exists underneath. Code
-// that changes behaviour based on virtual time must use VirtualClock, not
-// a bare Clock type assertion, or a wrapper over a wall-clock transport
-// would be mistaken for the simulator.
+// ClockProber is implemented by wrappers — every one that embeds Forward —
+// which expose a Now method unconditionally but only forward to a virtual
+// clock when one actually exists underneath. Code that changes behaviour
+// based on virtual time must use VirtualClock, not a bare Clock type
+// assertion, or a wrapper over a wall-clock transport would be mistaken
+// for the simulator.
 type ClockProber interface {
 	// HasClock reports whether a virtual clock genuinely backs Now.
 	HasClock() bool
@@ -285,18 +308,21 @@ func VirtualClock(c Comm) (Clock, bool) {
 // unbounded blocking. The setting applies to operations issued by the
 // calling rank's handle only and may be changed between operations.
 //
-// The mem and tcp transports implement Deadliner (with full cancellation:
-// a timed-out receive is deregistered, so its buffer is never written
-// later). The simulator does not — its discrete-event kernel already turns
-// any global hang into ErrDeadlock deterministically.
+// The mem, tcp and shm transports implement Deadliner through the shared
+// matcher (with full cancellation: a timed-out receive is deregistered, so
+// its buffer is never written later). The simulator does not — its
+// discrete-event kernel already turns any global hang into ErrDeadlock
+// deterministically. Through a wrapper over a substrate without deadlines
+// SetOpTimeout is a no-op.
 type Deadliner interface {
 	SetOpTimeout(d time.Duration)
 }
 
 // FailureDetector is optionally implemented by communicators that track
-// per-peer liveness (TCP heartbeats, the mem world's rank-kill switch).
-// Failed returns the ranks this rank currently knows to be dead, in
-// ascending order. Knowledge is local and monotone: a rank reported
+// per-peer liveness (TCP and shm heartbeats, the mem world's rank-kill
+// switch). Failed returns the ranks this rank currently knows to be dead,
+// in ascending order (nil through a wrapper over a substrate without a
+// detector). Knowledge is local and monotone: a rank reported
 // failed stays failed. Use the internal/ft agreement protocol to turn
 // these local views into a consistent global one.
 type FailureDetector interface {
@@ -324,11 +350,11 @@ type Locality struct {
 // Locator is optionally implemented by communicators that know the
 // rank → node mapping of their world: the simulator (from its machine
 // spec and placement), the TCP transport (host-keyed during rendezvous),
-// and the mem world (declared synthetically for tests). Locality reports
-// where `rank` lives; ok is false when the communicator has no locality
-// knowledge for that rank. Wrappers (SubComm, the metrics and FT comms)
-// forward the query and report their inner communicator's answer, so
-// capability probing composes like Clock and Deadliner.
+// the shm transport (one node by construction), and the mem world
+// (declared synthetically for tests). Locality reports where `rank` lives;
+// ok is false when the communicator has no locality knowledge for that
+// rank. Wrappers report their inner communicator's answer (SubComm after
+// translating the rank).
 type Locator interface {
 	Locality(rank int) (Locality, bool)
 }

@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // nsPiece maps one source tag range of the standard session layout into an
 // offset inside a namespace window. A non-zero mod folds the (larger)
@@ -70,15 +67,15 @@ func NamespaceWindow(slot int) (lo, hi Tag) {
 // sessions in different slots share the transport's connections (and, for
 // TCP, its sockets) but can never match each other's messages.
 //
-// The wrapper forwards every capability of the communicator it wraps
-// (Clock, Deadliner, FailureDetector, Locator, Purger, SendRecver) with
-// tag-window translation where tags are involved, and implements Unwrap
-// so capability probes that walk wrapper chains — the flight recorder's
-// RecorderOf in particular — keep working through the service layer.
+// Capabilities come from the embedded Forward; the two that speak in tags
+// (PurgeTags, SendRecv) are translated here. The handle given to
+// NewNamespace should carry per-handle deadlines (mem handles and tcp pool
+// handles do): a shared-transport-wide SetOpTimeout would let one tenant's
+// timeout choice leak into its cotenants.
 type Namespace struct {
-	inner Comm
-	slot  int
-	base  Tag
+	Forward
+	slot int
+	base Tag
 }
 
 // NewNamespace wraps c in namespace slot (0 <= slot < NamespaceSlots).
@@ -88,7 +85,7 @@ func NewNamespace(c Comm, slot int) (*Namespace, error) {
 	if slot < 0 || slot >= NamespaceSlots {
 		return nil, fmt.Errorf("comm: namespace slot %d out of range [0,%d)", slot, NamespaceSlots)
 	}
-	return &Namespace{inner: c, slot: slot, base: NamespaceBase + Tag(slot)*NamespaceStride}, nil
+	return &Namespace{Forward: NewForward(c), slot: slot, base: NamespaceBase + Tag(slot)*NamespaceStride}, nil
 }
 
 // Slot returns the namespace slot index.
@@ -97,10 +94,6 @@ func (n *Namespace) Slot() int { return n.slot }
 // Window returns the concrete window [lo, hi) this namespace occupies on
 // the shared transport.
 func (n *Namespace) Window() (lo, hi Tag) { return NamespaceWindow(n.slot) }
-
-// Unwrap reveals the shared communicator (the errors.Unwrap convention),
-// letting capability probes like flight.RecorderOf walk the chain.
-func (n *Namespace) Unwrap() Comm { return n.inner }
 
 // xlate maps a session-layout tag into the slot's window.
 func (n *Namespace) xlate(t Tag) (Tag, error) {
@@ -115,15 +108,6 @@ func (n *Namespace) xlate(t Tag) (Tag, error) {
 	}
 	return 0, fmt.Errorf("comm: tag %d outside the namespaced session layout (user tags must be < %d)", t, NamespaceUserTags)
 }
-
-// Rank implements Comm.
-func (n *Namespace) Rank() int { return n.inner.Rank() }
-
-// Size implements Comm.
-func (n *Namespace) Size() int { return n.inner.Size() }
-
-// ChargeCompute implements Comm.
-func (n *Namespace) ChargeCompute(nb int) { n.inner.ChargeCompute(nb) }
 
 // Send implements Comm.
 func (n *Namespace) Send(to int, tag Tag, buf []byte) error {
@@ -171,43 +155,6 @@ func (n *Namespace) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, t
 	return SendRecv(n.inner, to, sendBuf, from, recvBuf, t)
 }
 
-// Now forwards Clock when the substrate tracks virtual time.
-func (n *Namespace) Now() float64 {
-	if cl, ok := n.inner.(Clock); ok {
-		return cl.Now()
-	}
-	return 0
-}
-
-// HasClock implements ClockProber.
-func (n *Namespace) HasClock() bool {
-	_, ok := VirtualClock(n.inner)
-	return ok
-}
-
-// SetOpTimeout forwards Deadliner. The handle given to NewNamespace should
-// carry per-handle deadlines (mem handles and tcp pool handles do): a
-// shared-transport-wide deadline would let one tenant's timeout choice
-// leak into its cotenants.
-func (n *Namespace) SetOpTimeout(d time.Duration) {
-	if dl, ok := n.inner.(Deadliner); ok {
-		dl.SetOpTimeout(d)
-	}
-}
-
-// Failed forwards FailureDetector.
-func (n *Namespace) Failed() []int {
-	if fd, ok := n.inner.(FailureDetector); ok {
-		return fd.Failed()
-	}
-	return nil
-}
-
-// Locality forwards Locator.
-func (n *Namespace) Locality(rank int) (Locality, bool) {
-	return LocalityOf(n.inner, rank)
-}
-
 // PurgeTags implements Purger with window translation: the session-layout
 // range [lo, hi) is intersected with each layout piece and each
 // intersection purged inside the slot's window, splitting folded pieces at
@@ -215,8 +162,8 @@ func (n *Namespace) Locality(rank int) (Locality, bool) {
 // through a namespace, touching only this slot's region of the shared
 // transport.
 func (n *Namespace) PurgeTags(lo, hi Tag) {
-	p, ok := n.inner.(Purger)
-	if !ok {
+	p := n.purger
+	if p == nil {
 		return
 	}
 	for _, pc := range nsPieces {

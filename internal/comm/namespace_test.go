@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // tagSpy records every operation's translated (peer, tag) and purge range.
 type tagSpy struct {
@@ -11,8 +8,6 @@ type tagSpy struct {
 	sends      []Tag
 	recvs      []Tag
 	purges     [][2]Tag
-	timeout    time.Duration
-	failed     []int
 }
 
 func (s *tagSpy) Rank() int         { return s.rank }
@@ -34,9 +29,7 @@ func (s *tagSpy) Irecv(from int, tag Tag, buf []byte) (Request, error) {
 	s.recvs = append(s.recvs, tag)
 	return &fakeReq{}, nil
 }
-func (s *tagSpy) PurgeTags(lo, hi Tag)         { s.purges = append(s.purges, [2]Tag{lo, hi}) }
-func (s *tagSpy) SetOpTimeout(d time.Duration) { s.timeout = d }
-func (s *tagSpy) Failed() []int                { return s.failed }
+func (s *tagSpy) PurgeTags(lo, hi Tag) { s.purges = append(s.purges, [2]Tag{lo, hi}) }
 
 // TestNamespaceLayout pins the in-window layout: pieces tile the window in
 // ascending destination order without overlap, and the total width — the
@@ -231,31 +224,11 @@ func TestNamespacePurge(t *testing.T) {
 	}
 }
 
-// TestNamespaceCapabilities verifies forwarding and graceful degradation.
-func TestNamespaceCapabilities(t *testing.T) {
-	spy := &tagSpy{rank: 1, size: 4, failed: []int{3}}
-	ns, _ := NewNamespace(spy, 0)
-	if ns.Rank() != 1 || ns.Size() != 4 {
-		t.Errorf("identity not forwarded: rank %d size %d", ns.Rank(), ns.Size())
-	}
-	if ns.Unwrap() != Comm(spy) {
-		t.Error("Unwrap must reveal the shared comm")
-	}
-	ns.SetOpTimeout(time.Second)
-	if spy.timeout != time.Second {
-		t.Error("Deadliner not forwarded")
-	}
-	if f := ns.Failed(); len(f) != 1 || f[0] != 3 {
-		t.Errorf("FailureDetector not forwarded: %v", f)
-	}
-	if ns.HasClock() {
-		t.Error("spy has no virtual clock")
-	}
-	if _, ok := ns.Locality(0); ok {
-		t.Error("spy has no locality")
-	}
-
-	// Slot validation.
+// TestNamespaceSlotValidation: slots outside [0, NamespaceSlots) are
+// rejected. (Capability forwarding is checked by transporttest.CheckWrapper
+// in wrapper_test.go.)
+func TestNamespaceSlotValidation(t *testing.T) {
+	spy := &tagSpy{rank: 1, size: 4}
 	if _, err := NewNamespace(spy, -1); err == nil {
 		t.Error("negative slot accepted")
 	}

@@ -3,7 +3,6 @@ package comm
 import (
 	"fmt"
 	"sort"
-	"time"
 )
 
 // SubComm presents a subset of a communicator's ranks as a dense
@@ -12,8 +11,12 @@ import (
 // the subset must not use the SubComm; messages travel through the parent
 // communicator, so sub-communicator traffic between the same pair shares
 // the parent's per-(source, tag) FIFO ordering.
+//
+// Capabilities come from the embedded Forward; only the two that speak in
+// ranks (Failed, Locality) are translated here. Tag windows are shared
+// with the parent, so PurgeTags needs no translation.
 type SubComm struct {
-	inner Comm
+	Forward
 	ranks []int // dense index -> parent rank, strictly ascending
 	myIdx int
 }
@@ -42,25 +45,17 @@ func NewSub(c Comm, ranks []int) (*SubComm, error) {
 	if myIdx < 0 {
 		return nil, fmt.Errorf("comm: caller (rank %d) not in sub-communicator", c.Rank())
 	}
-	return &SubComm{inner: c, ranks: sorted, myIdx: myIdx}, nil
+	return &SubComm{Forward: NewForward(c), ranks: sorted, myIdx: myIdx}, nil
 }
 
 // Parent returns the parent rank of a sub-communicator index.
 func (s *SubComm) Parent(idx int) int { return s.ranks[idx] }
-
-// Unwrap reveals the parent communicator (the errors.Unwrap convention
-// for wrapper chains), so capability probes that cannot be forwarded
-// method-by-method — e.g. the flight recorder's — can walk the stack.
-func (s *SubComm) Unwrap() Comm { return s.inner }
 
 // Rank implements Comm.
 func (s *SubComm) Rank() int { return s.myIdx }
 
 // Size implements Comm.
 func (s *SubComm) Size() int { return len(s.ranks) }
-
-// ChargeCompute implements Comm.
-func (s *SubComm) ChargeCompute(n int) { s.inner.ChargeCompute(n) }
 
 func (s *SubComm) translate(idx int) (int, error) {
 	if idx < 0 || idx >= len(s.ranks) {
@@ -105,64 +100,27 @@ func (s *SubComm) Irecv(from int, tag Tag, buf []byte) (Request, error) {
 	return s.inner.Irecv(r, tag, buf)
 }
 
-// Now implements Clock when the parent tracks virtual time.
-func (s *SubComm) Now() float64 {
-	if cl, ok := s.inner.(Clock); ok {
-		return cl.Now()
-	}
-	return 0
-}
-
-// HasClock implements ClockProber.
-func (s *SubComm) HasClock() bool {
-	_, ok := VirtualClock(s.inner)
-	return ok
-}
-
-// SetOpTimeout forwards Deadliner to the parent when it supports per-op
-// deadlines (no-op otherwise), so fault-tolerant sessions keep their
-// timeout guarantees after a Shrink onto a SubComm.
-func (s *SubComm) SetOpTimeout(d time.Duration) {
-	if dl, ok := s.inner.(Deadliner); ok {
-		dl.SetOpTimeout(d)
-	}
-}
-
-// Failed forwards FailureDetector to the parent, translating parent ranks
-// into sub-communicator indices; parent failures outside the subset are
-// dropped (they are no longer members).
+// Failed translates the parent's failed ranks into sub-communicator
+// indices; parent failures outside the subset are dropped (they are no
+// longer members), so fault-tolerant sessions keep an exact view after a
+// Shrink onto a SubComm.
 func (s *SubComm) Failed() []int {
-	fd, ok := s.inner.(FailureDetector)
-	if !ok {
-		return nil
-	}
 	var out []int
-	for _, parent := range fd.Failed() {
-		for idx, r := range s.ranks {
-			if r == parent {
-				out = append(out, idx)
-				break
-			}
+	for _, parent := range s.Forward.Failed() {
+		if idx := sort.SearchInts(s.ranks, parent); idx < len(s.ranks) && s.ranks[idx] == parent {
+			out = append(out, idx)
 		}
 	}
 	return out
 }
 
-// Locality forwards Locator to the parent, translating the sub index into
-// the parent rank. Node and Ports are physical facts and pass through
-// unchanged; LocalRank and PPN remain parent-relative (internal/topo
-// recomputes communicator-relative values when it builds a map).
+// Locality translates the sub index into the parent rank. Node and Ports
+// are physical facts and pass through unchanged; LocalRank and PPN remain
+// parent-relative (internal/topo recomputes communicator-relative values
+// when it builds a map).
 func (s *SubComm) Locality(idx int) (Locality, bool) {
 	if idx < 0 || idx >= len(s.ranks) {
 		return Locality{}, false
 	}
-	return LocalityOf(s.inner, s.ranks[idx])
-}
-
-// PurgeTags forwards Purger to the parent (no-op otherwise). Tag windows
-// are shared with the parent, so the purge range needs no translation.
-func (s *SubComm) PurgeTags(lo, hi Tag) {
-	if p, ok := s.inner.(Purger); ok {
-		p.PurgeTags(lo, hi)
-	}
+	return s.Forward.Locality(s.ranks[idx])
 }

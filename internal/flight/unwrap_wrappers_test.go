@@ -9,49 +9,14 @@ import (
 	"exacoll/internal/comm"
 	"exacoll/internal/elastic"
 	"exacoll/internal/flight"
-	"exacoll/internal/transport/mem"
 	"exacoll/internal/transport/tcp"
 )
 
-// These tests pin the capability-probe contract for the multi-tenant and
-// elastic wrappers: flight.RecorderOf must walk through comm.Namespace,
-// tcp.Shared (pooled link handles), and elastic.Member exactly like it
-// walks SubComm and the metrics wrapper — each exposes Unwrap, and a
-// recorder anywhere beneath stays discoverable.
-
-// TestRecorderOfThroughNamespace: a service world recorded at the shared
-// layer keeps its recorder reachable from every tenant's namespaced view.
-func TestRecorderOfThroughNamespace(t *testing.T) {
-	w := mem.NewWorld(1)
-	defer w.Close()
-
-	rec := flight.NewRecorder(flight.Options{}).Wrap(w.Comm(0))
-	ns, err := comm.NewNamespace(rec, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flight.RecorderOf(ns) == nil {
-		t.Fatal("RecorderOf did not walk through comm.Namespace")
-	}
-
-	// Stacked namespaces (a tenant re-namespacing its slice) still reach it.
-	ns2, err := comm.NewNamespace(ns, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flight.RecorderOf(ns2) == nil {
-		t.Fatal("RecorderOf did not walk a namespace stack")
-	}
-
-	// An unrecorded namespace terminates cleanly at the substrate.
-	bare, err := comm.NewNamespace(w.Comm(0), 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flight.RecorderOf(bare) != nil {
-		t.Fatal("RecorderOf invented a recorder under an unrecorded namespace")
-	}
-}
+// These tests pin the chain-walk contract for the two wrappers whose
+// inner is a concrete *tcp.Proc, which transporttest.CheckWrapper cannot
+// re-seat on mem or simnet: flight.RecorderOf must walk through tcp.Shared
+// (pooled link handles) and elastic.Member exactly like it walks every
+// comm.Forward wrapper, and a recorder anywhere beneath stays discoverable.
 
 func flightFreeAddr(t *testing.T) string {
 	t.Helper()

@@ -12,39 +12,27 @@ type Recorded interface {
 	FlightRecorder() *RankRecorder
 }
 
-// Unwrapper is implemented by communicator wrappers that can reveal the
-// communicator they wrap (the errors.Unwrap convention). SubComm, the FT
-// epoch comm, the metrics comm and the topo level comm all implement it
-// so capability probes that cannot be forwarded method-by-method — like
-// RecorderOf — can walk the stack.
-type Unwrapper interface {
-	Unwrap() comm.Comm
-}
-
 // RecorderOf returns the flight recorder reachable from c: c itself if it
-// is the flight wrapper, or the first Recorded communicator found by
-// unwrapping the wrapper chain. Nil when no recorder is attached —
-// callers emitting optional events must nil-check.
+// is the flight wrapper, or the first Recorded communicator beneath it in
+// the wrapper chain. Nil when no recorder is attached — callers emitting
+// optional events must nil-check.
 func RecorderOf(c comm.Comm) *RankRecorder {
-	for c != nil {
-		if rc, ok := c.(Recorded); ok {
-			return rc.FlightRecorder()
+	var rr *RankRecorder
+	comm.Walk(c, func(x comm.Comm) bool {
+		if rc, ok := x.(Recorded); ok {
+			rr = rc.FlightRecorder()
 		}
-		u, ok := c.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		c = u.Unwrap()
-	}
-	return nil
+		return rr == nil
+	})
+	return rr
 }
 
 // Wrap returns a comm.Comm recording every point-to-point operation of
-// c's rank into the recorder's ring. The wrapper preserves the virtual
-// clock (comm.Clock) of the communicator it wraps and forwards locality
-// queries; metrics instrumentation beneath it stays discoverable through
-// Unwrap (metrics.InstrumentedOf walks the chain), so flight must stay
-// the outermost wrapper.
+// c's rank into the recorder's ring, stamped with c's virtual clock when
+// it has one. Every capability of c passes through (comm.Forward), and
+// metrics instrumentation beneath stays discoverable through the wrapper
+// chain (metrics.InstrumentedOf); flight itself must stay the outermost
+// wrapper so the ring sees every operation.
 //
 // Overhead discipline: the blocking Send/Recv paths and Isend add only a
 // clock read and a ring-slot store per event — no allocations (enforced
@@ -58,51 +46,29 @@ func RecorderOf(c comm.Comm) *RankRecorder {
 // interval the analysis needs is send post → recv complete).
 func (f *Recorder) Wrap(c comm.Comm) comm.Comm {
 	rr := f.Rank(c.Rank())
-	clk, clocked := comm.VirtualClock(c)
-	if clocked {
+	if clk, ok := comm.VirtualClock(c); ok {
 		rr.clk = clk
 	}
-	base := &Comm{inner: c, rec: rr}
-	if clocked {
-		return &clockComm{base, clk}
-	}
-	return base
+	return &Comm{Forward: comm.NewForward(c), rec: rr}
 }
 
 // Comm is the flight-recording communicator wrapper. Construct with
-// Recorder.Wrap.
+// Recorder.Wrap. ChargeCompute passes through unrecorded: reduction
+// kernels bracket their work with EvReduceBegin/End explicitly
+// (internal/core), which carries strictly more information.
 type Comm struct {
-	inner comm.Comm
-	rec   *RankRecorder
+	comm.Forward
+	rec *RankRecorder
 }
 
 // FlightRecorder implements Recorded.
 func (fc *Comm) FlightRecorder() *RankRecorder { return fc.rec }
 
-// Unwrap implements Unwrapper.
-func (fc *Comm) Unwrap() comm.Comm { return fc.inner }
-
-// Rank implements comm.Comm.
-func (fc *Comm) Rank() int { return fc.inner.Rank() }
-
-// Size implements comm.Comm.
-func (fc *Comm) Size() int { return fc.inner.Size() }
-
-// ChargeCompute implements comm.Comm. The γ charge itself is not an
-// event: reduction kernels bracket their work with EvReduceBegin/End
-// explicitly (internal/core), which carries strictly more information.
-func (fc *Comm) ChargeCompute(n int) { fc.inner.ChargeCompute(n) }
-
-// Locality forwards comm.Locator to the substrate.
-func (fc *Comm) Locality(rank int) (comm.Locality, bool) {
-	return comm.LocalityOf(fc.inner, rank)
-}
-
 // Send implements comm.Comm: EvSendPost at entry, EvSendComplete when the
 // eager buffering accepts the payload. Failed sends record no completion.
 func (fc *Comm) Send(to int, tag comm.Tag, buf []byte) error {
 	fc.rec.Record(EvSendPost, to, tag, len(buf), 0)
-	err := fc.inner.Send(to, tag, buf)
+	err := fc.Unwrap().Send(to, tag, buf)
 	if err == nil {
 		fc.rec.Record(EvSendComplete, to, tag, len(buf), 0)
 	}
@@ -114,7 +80,7 @@ func (fc *Comm) Send(to int, tag comm.Tag, buf []byte) error {
 // blocked-or-transfer window for the message.
 func (fc *Comm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
 	fc.rec.Record(EvRecvPost, from, tag, len(buf), 0)
-	n, err := fc.inner.Recv(from, tag, buf)
+	n, err := fc.Unwrap().Recv(from, tag, buf)
 	if err == nil {
 		fc.rec.Record(EvRecvComplete, from, tag, n, 0)
 	}
@@ -125,7 +91,7 @@ func (fc *Comm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
 // returning the substrate's request as-is — zero per-call allocations.
 func (fc *Comm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error) {
 	fc.rec.Record(EvSendPost, to, tag, len(buf), 0)
-	req, err := fc.inner.Isend(to, tag, buf)
+	req, err := fc.Unwrap().Isend(to, tag, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +103,7 @@ func (fc *Comm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error) {
 // each blocking Wait on the request.
 func (fc *Comm) Irecv(from int, tag comm.Tag, buf []byte) (comm.Request, error) {
 	fc.rec.Record(EvRecvPost, from, tag, len(buf), 0)
-	req, err := fc.inner.Irecv(from, tag, buf)
+	req, err := fc.Unwrap().Irecv(from, tag, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +121,7 @@ func (fc *Comm) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag c
 	t0 := fc.rec.nowNs()
 	fc.rec.RecordAt(t0, EvSendPost, to, tag, len(sendBuf), 0)
 	fc.rec.RecordAt(t0, EvRecvPost, from, tag, len(recvBuf), 0)
-	n, err := comm.SendRecv(fc.inner, to, sendBuf, from, recvBuf, tag)
+	n, err := comm.SendRecv(fc.Unwrap(), to, sendBuf, from, recvBuf, tag)
 	if err == nil {
 		fc.rec.Record(EvRecvComplete, from, tag, n, 0)
 	}
@@ -201,12 +167,3 @@ func (r *recvRequest) Test() (bool, error) {
 	}
 	return true, err
 }
-
-// clockComm re-exposes comm.Clock for clocked substrates.
-type clockComm struct {
-	*Comm
-	clk comm.Clock
-}
-
-// Now implements comm.Clock.
-func (c *clockComm) Now() float64 { return c.clk.Now() }

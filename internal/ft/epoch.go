@@ -2,7 +2,6 @@ package ft
 
 import (
 	"sync/atomic"
-	"time"
 
 	"exacoll/internal/comm"
 )
@@ -18,26 +17,23 @@ import (
 // world agreed to abort — can never match the receives of a later
 // collective. Tags outside the family range (user point-to-point,
 // nonblocking-collective epochs, FT agreement traffic) pass through
-// unchanged.
+// unchanged, as does every capability (comm.Forward) — PurgeTags included:
+// callers purge concrete windows from EpochWindow.
 type EpochComm struct {
-	inner comm.Comm
+	comm.Forward
 	epoch atomic.Int64
 }
 
 // NewEpochComm wraps c starting at the given epoch (non-zero when a
 // shrunken session inherits its parent's tag-space position).
 func NewEpochComm(c comm.Comm, epoch int64) *EpochComm {
-	ec := &EpochComm{inner: c}
+	ec := &EpochComm{Forward: comm.NewForward(c)}
 	ec.epoch.Store(epoch)
 	return ec
 }
 
 // Epoch returns the current collective epoch.
 func (ec *EpochComm) Epoch() int64 { return ec.epoch.Load() }
-
-// Unwrap reveals the wrapped communicator (the errors.Unwrap convention),
-// letting capability probes like the flight recorder's walk the chain.
-func (ec *EpochComm) Unwrap() comm.Comm { return ec.inner }
 
 // SetEpoch moves the collective tag window (called between collectives by
 // the FT state machine; concurrent in-flight nonblocking traffic is
@@ -62,74 +58,22 @@ func (ec *EpochComm) xlate(t comm.Tag) comm.Tag {
 	return lo + (t - comm.TagCollBase)
 }
 
-// Rank implements comm.Comm.
-func (ec *EpochComm) Rank() int { return ec.inner.Rank() }
-
-// Size implements comm.Comm.
-func (ec *EpochComm) Size() int { return ec.inner.Size() }
-
-// ChargeCompute implements comm.Comm.
-func (ec *EpochComm) ChargeCompute(n int) { ec.inner.ChargeCompute(n) }
-
 // Send implements comm.Comm.
 func (ec *EpochComm) Send(to int, tag comm.Tag, buf []byte) error {
-	return ec.inner.Send(to, ec.xlate(tag), buf)
+	return ec.Unwrap().Send(to, ec.xlate(tag), buf)
 }
 
 // Recv implements comm.Comm.
 func (ec *EpochComm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
-	return ec.inner.Recv(from, ec.xlate(tag), buf)
+	return ec.Unwrap().Recv(from, ec.xlate(tag), buf)
 }
 
 // Isend implements comm.Comm.
 func (ec *EpochComm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error) {
-	return ec.inner.Isend(to, ec.xlate(tag), buf)
+	return ec.Unwrap().Isend(to, ec.xlate(tag), buf)
 }
 
 // Irecv implements comm.Comm.
 func (ec *EpochComm) Irecv(from int, tag comm.Tag, buf []byte) (comm.Request, error) {
-	return ec.inner.Irecv(from, ec.xlate(tag), buf)
-}
-
-// Now forwards Clock when the substrate tracks virtual time.
-func (ec *EpochComm) Now() float64 {
-	if cl, ok := ec.inner.(comm.Clock); ok {
-		return cl.Now()
-	}
-	return 0
-}
-
-// HasClock implements comm.ClockProber.
-func (ec *EpochComm) HasClock() bool {
-	_, ok := comm.VirtualClock(ec.inner)
-	return ok
-}
-
-// SetOpTimeout forwards Deadliner (no-op otherwise).
-func (ec *EpochComm) SetOpTimeout(d time.Duration) {
-	if dl, ok := ec.inner.(comm.Deadliner); ok {
-		dl.SetOpTimeout(d)
-	}
-}
-
-// Failed forwards FailureDetector (nil otherwise).
-func (ec *EpochComm) Failed() []int {
-	if fd, ok := ec.inner.(comm.FailureDetector); ok {
-		return fd.Failed()
-	}
-	return nil
-}
-
-// Locality forwards comm.Locator (false otherwise): tag re-homing does
-// not move ranks between nodes.
-func (ec *EpochComm) Locality(rank int) (comm.Locality, bool) {
-	return comm.LocalityOf(ec.inner, rank)
-}
-
-// PurgeTags forwards Purger (no-op otherwise). The range is not
-// translated: callers purge concrete windows from EpochWindow.
-func (ec *EpochComm) PurgeTags(lo, hi comm.Tag) {
-	if p, ok := ec.inner.(comm.Purger); ok {
-		p.PurgeTags(lo, hi)
-	}
+	return ec.Unwrap().Irecv(from, ec.xlate(tag), buf)
 }

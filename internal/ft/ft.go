@@ -104,11 +104,6 @@ type State struct {
 // communicator to run collectives through (wrap it with metrics and hand
 // the result to SetOuter so agreement traffic is counted too).
 func New(base comm.Comm, cfg Config) *State {
-	if cfg.Timeout > 0 {
-		if dl, ok := base.(comm.Deadliner); ok {
-			dl.SetOpTimeout(cfg.Timeout)
-		}
-	}
 	s := &State{
 		base: base,
 		ec:   NewEpochComm(base, cfg.Epoch),
@@ -117,6 +112,9 @@ func New(base comm.Comm, cfg Config) *State {
 		dead: make([]bool, base.Size()),
 	}
 	s.out = s.ec
+	if cfg.Timeout > 0 {
+		s.ec.SetOpTimeout(cfg.Timeout)
+	}
 	return s
 }
 
@@ -178,9 +176,9 @@ func (s *State) agree(localFail bool) (aborted bool) {
 	// (it was still blocking inside the collective when ours failed fast).
 	// Raise the deadline for the agreement exchange so that skew is not
 	// mistaken for a death, and restore it for the next collective.
-	if dl, ok := s.base.(comm.Deadliner); ok && s.cfg.Timeout > 0 {
-		dl.SetOpTimeout(2*s.cfg.Timeout + 500*time.Millisecond)
-		defer dl.SetOpTimeout(s.cfg.Timeout)
+	if s.cfg.Timeout > 0 {
+		s.ec.SetOpTimeout(2*s.cfg.Timeout + 500*time.Millisecond)
+		defer s.ec.SetOpTimeout(s.cfg.Timeout)
 	}
 	nb := (p + 7) / 8
 	mask := make([]byte, nb) // flooded dead set: enters the verdict
@@ -190,10 +188,8 @@ func (s *State) agree(localFail bool) (aborted bool) {
 			setBit(mask, r)
 		}
 	}
-	if fd, ok := s.base.(comm.FailureDetector); ok {
-		for _, r := range fd.Failed() {
-			setBit(mask, r)
-		}
+	for _, r := range s.ec.Failed() {
+		setBit(mask, r)
 	}
 	fail := localFail
 
@@ -289,9 +285,7 @@ func (s *State) agree(localFail bool) (aborted bool) {
 func (s *State) advanceEpoch() {
 	e := s.ec.Epoch()
 	lo, hi := EpochWindow(e)
-	if p, ok := s.base.(comm.Purger); ok {
-		p.PurgeTags(lo, hi)
-	}
+	s.ec.PurgeTags(lo, hi)
 	s.ec.SetEpoch(e + 1)
 }
 

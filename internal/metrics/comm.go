@@ -8,88 +8,63 @@ import (
 )
 
 // Instrument wraps c so every operation updates the registry's counters
-// for c's rank. The wrapper preserves the comm.Clock interface when the
-// substrate tracks virtual time, and measures wait durations with that
-// clock when available (making simulator snapshots deterministic).
+// for c's rank. Every capability of c passes through (comm.Forward), and
+// wait durations are measured with c's virtual clock when it has one
+// (making simulator snapshots deterministic).
 //
 // Overhead: the blocking Send/Recv paths add only atomic adds and one
 // time read — no allocations. Irecv allocates one small request wrapper
 // (matching what the substrate itself allocates per posted receive).
 func (r *Registry) Instrument(c comm.Comm) comm.Comm {
-	mc := &Comm{inner: c, reg: r, rc: r.rank(c.Rank())}
-	if clk, ok := comm.VirtualClock(c); ok {
-		mc.clk = clk
-		return &clockComm{mc}
-	}
-	return mc
+	return &Comm{Forward: comm.NewForward(c), reg: r, rc: r.rank(c.Rank())}
 }
 
 // InstrumentedOf returns the registry reachable from c: c's own when it
 // implements Instrumented, or the nearest instrumented communicator's
-// found by walking Unwrap() wrapper chains (the errors.Unwrap
-// convention) — so instrumentation stays discoverable under outer
-// wrappers like the flight recorder's. Nil when no registry is attached.
+// beneath it in the wrapper chain — so instrumentation stays discoverable
+// under outer wrappers like the flight recorder's. Nil when no registry
+// is attached.
 func InstrumentedOf(c comm.Comm) *Registry {
-	for c != nil {
-		if ic, ok := c.(Instrumented); ok {
-			return ic.Metrics()
+	var reg *Registry
+	comm.Walk(c, func(x comm.Comm) bool {
+		if ic, ok := x.(Instrumented); ok {
+			reg = ic.Metrics()
 		}
-		u, ok := c.(interface{ Unwrap() comm.Comm })
-		if !ok {
-			return nil
-		}
-		c = u.Unwrap()
-	}
-	return nil
+		return reg == nil
+	})
+	return reg
 }
 
 // Comm is an instrumented communicator. It implements comm.Comm and
 // Instrumented; use Registry.Instrument to construct it.
 type Comm struct {
-	inner comm.Comm
-	clk   comm.Clock // non-nil iff the substrate tracks virtual time
-	reg   *Registry
-	rc    *rankCounters
+	comm.Forward
+	reg *Registry
+	rc  *rankCounters
 }
 
 // Metrics implements Instrumented.
 func (m *Comm) Metrics() *Registry { return m.reg }
 
-// Unwrap reveals the wrapped communicator (the errors.Unwrap convention),
-// letting capability probes like the flight recorder's walk the chain.
-func (m *Comm) Unwrap() comm.Comm { return m.inner }
-
-// Rank implements comm.Comm.
-func (m *Comm) Rank() int { return m.inner.Rank() }
-
-// Size implements comm.Comm.
-func (m *Comm) Size() int { return m.inner.Size() }
-
-// Locality forwards comm.Locator to the substrate (instrumentation does
-// not change where ranks live), reporting false when it cannot answer.
-func (m *Comm) Locality(rank int) (comm.Locality, bool) {
-	return comm.LocalityOf(m.inner, rank)
-}
-
 // ChargeCompute implements comm.Comm, counting the γ-term bytes.
 func (m *Comm) ChargeCompute(n int) {
-	m.inner.ChargeCompute(n)
+	m.Forward.ChargeCompute(n)
 	m.rc.computeBytes.Add(uint64(n))
 }
 
 // waitStart captures the wait-time origin: virtual seconds on clocked
 // substrates, a wall-clock instant otherwise.
 func (m *Comm) waitStart() (float64, time.Time) {
-	if m.clk != nil {
-		return m.clk.Now(), time.Time{}
+	if m.HasClock() {
+		return m.Now(), time.Time{}
 	}
 	return 0, time.Now()
 }
 
 // waitNanos converts a waitStart origin into elapsed nanoseconds.
 func (m *Comm) waitNanos(v0 float64, t0 time.Time) uint64 {
-	if m.clk != nil {
-		d := m.clk.Now() - v0
+	if m.HasClock() {
+		d := m.Now() - v0
 		if d < 0 {
 			d = 0
 		}
@@ -100,7 +75,7 @@ func (m *Comm) waitNanos(v0 float64, t0 time.Time) uint64 {
 
 // Send implements comm.Comm.
 func (m *Comm) Send(to int, tag comm.Tag, buf []byte) error {
-	if err := m.inner.Send(to, tag, buf); err != nil {
+	if err := m.Unwrap().Send(to, tag, buf); err != nil {
 		m.rc.sendErrors.Add(1)
 		return err
 	}
@@ -113,7 +88,7 @@ func (m *Comm) Send(to int, tag comm.Tag, buf []byte) error {
 // the rank's wait histogram.
 func (m *Comm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
 	v0, t0 := m.waitStart()
-	n, err := m.inner.Recv(from, tag, buf)
+	n, err := m.Unwrap().Recv(from, tag, buf)
 	if err != nil {
 		m.rc.recvErrors.Add(1)
 		return n, err
@@ -127,7 +102,7 @@ func (m *Comm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
 // Isend implements comm.Comm. Sends are counted at post time (the layer
 // below buffers eagerly), so the substrate's request is returned as-is.
 func (m *Comm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error) {
-	req, err := m.inner.Isend(to, tag, buf)
+	req, err := m.Unwrap().Isend(to, tag, buf)
 	if err != nil {
 		m.rc.sendErrors.Add(1)
 		return nil, err
@@ -140,7 +115,7 @@ func (m *Comm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error) {
 // Irecv implements comm.Comm. The receive is counted when Wait observes
 // completion (only then is the matched length known).
 func (m *Comm) Irecv(from int, tag comm.Tag, buf []byte) (comm.Request, error) {
-	req, err := m.inner.Irecv(from, tag, buf)
+	req, err := m.Unwrap().Irecv(from, tag, buf)
 	if err != nil {
 		m.rc.recvErrors.Add(1)
 		return nil, err
@@ -193,11 +168,3 @@ func (r *recvRequest) Test() (bool, error) {
 	})
 	return true, err
 }
-
-// clockComm re-exposes comm.Clock for clocked substrates.
-type clockComm struct {
-	*Comm
-}
-
-// Now implements comm.Clock.
-func (c *clockComm) Now() float64 { return c.clk.Now() }

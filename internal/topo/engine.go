@@ -105,7 +105,7 @@ func (e *Engine) meter(sub comm.Comm, intra bool) comm.Comm {
 	if e.reg == nil {
 		return sub
 	}
-	return &levelComm{inner: sub, reg: e.reg, rank: e.h.World.Rank(), intra: intra}
+	return &levelComm{Forward: comm.NewForward(sub), reg: e.reg, rank: e.h.World.Rank(), intra: intra}
 }
 
 // Hierarchy exposes the level tree the engine runs on.
@@ -344,10 +344,11 @@ func checkReduceArgs(sendbuf, recvbuf []byte, dt datatype.Type) error {
 // levelComm meters one hierarchy level: every send is attributed to the
 // level (intra- or internode) in the registry, and tuning.Table.Run sees
 // the registry through metrics.Instrumented so per-level selection
-// decisions are recorded. Receives, clocks, and everything else forward
-// to the level's sub-communicator.
+// decisions are recorded. Receives and every capability (comm.Forward)
+// pass through to the level's sub-communicator, and the reduction kernels
+// running on a level find the world's flight recorder beneath it.
 type levelComm struct {
-	inner comm.Comm
+	comm.Forward
 	reg   *metrics.Registry
 	rank  int // world rank, the registry's accounting key
 	intra bool
@@ -356,22 +357,9 @@ type levelComm struct {
 // Metrics implements metrics.Instrumented.
 func (l *levelComm) Metrics() *metrics.Registry { return l.reg }
 
-// Unwrap implements flight.Unwrapper, so the reduction kernels running on
-// a level find the world's flight recorder through the wrapper chain.
-func (l *levelComm) Unwrap() comm.Comm { return l.inner }
-
-// Rank implements comm.Comm.
-func (l *levelComm) Rank() int { return l.inner.Rank() }
-
-// Size implements comm.Comm.
-func (l *levelComm) Size() int { return l.inner.Size() }
-
-// ChargeCompute implements comm.Comm.
-func (l *levelComm) ChargeCompute(n int) { l.inner.ChargeCompute(n) }
-
 // Send implements comm.Comm.
 func (l *levelComm) Send(to int, tag comm.Tag, buf []byte) error {
-	if err := l.inner.Send(to, tag, buf); err != nil {
+	if err := l.Unwrap().Send(to, tag, buf); err != nil {
 		return err
 	}
 	l.reg.HierSend(l.rank, l.intra, len(buf))
@@ -380,7 +368,7 @@ func (l *levelComm) Send(to int, tag comm.Tag, buf []byte) error {
 
 // Isend implements comm.Comm.
 func (l *levelComm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error) {
-	req, err := l.inner.Isend(to, tag, buf)
+	req, err := l.Unwrap().Isend(to, tag, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -390,30 +378,10 @@ func (l *levelComm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error
 
 // Recv implements comm.Comm.
 func (l *levelComm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
-	return l.inner.Recv(from, tag, buf)
+	return l.Unwrap().Recv(from, tag, buf)
 }
 
 // Irecv implements comm.Comm.
 func (l *levelComm) Irecv(from int, tag comm.Tag, buf []byte) (comm.Request, error) {
-	return l.inner.Irecv(from, tag, buf)
-}
-
-// Now implements comm.Clock when the level's substrate tracks virtual
-// time (tuning.Table.Run stamps decisions with it).
-func (l *levelComm) Now() float64 {
-	if cl, ok := l.inner.(comm.Clock); ok {
-		return cl.Now()
-	}
-	return 0
-}
-
-// HasClock implements comm.ClockProber.
-func (l *levelComm) HasClock() bool {
-	_, ok := comm.VirtualClock(l.inner)
-	return ok
-}
-
-// Locality forwards comm.Locator to the level's sub-communicator.
-func (l *levelComm) Locality(rank int) (comm.Locality, bool) {
-	return comm.LocalityOf(l.inner, rank)
+	return l.Unwrap().Irecv(from, tag, buf)
 }

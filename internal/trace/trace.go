@@ -81,62 +81,49 @@ func (s *Sink) Events() []Event {
 }
 
 // Wrap returns a comm.Comm that records every operation of c into the
-// sink. The wrapper preserves the Clock interface if c implements it.
+// sink, stamped with c's virtual time (0 on wall-clock substrates). Every
+// capability of c passes through (comm.Forward).
 func (s *Sink) Wrap(c comm.Comm) comm.Comm {
-	t := &tracedComm{inner: c, sink: s}
-	if _, ok := comm.VirtualClock(c); ok {
-		return &tracedClockComm{tracedComm: t}
-	}
-	return t
+	return &tracedComm{Forward: comm.NewForward(c), sink: s}
 }
 
 type tracedComm struct {
-	inner comm.Comm
-	sink  *Sink
+	comm.Forward
+	sink *Sink
 }
-
-func (t *tracedComm) now() float64 {
-	if cl, ok := t.inner.(comm.Clock); ok {
-		return cl.Now()
-	}
-	return 0
-}
-
-func (t *tracedComm) Rank() int { return t.inner.Rank() }
-func (t *tracedComm) Size() int { return t.inner.Size() }
 
 func (t *tracedComm) ChargeCompute(n int) {
-	t.inner.ChargeCompute(n)
-	t.sink.record(Event{Rank: t.Rank(), Kind: KindCompute, Peer: -1, Bytes: n, Time: t.now()})
+	t.Forward.ChargeCompute(n)
+	t.sink.record(Event{Rank: t.Rank(), Kind: KindCompute, Peer: -1, Bytes: n, Time: t.Now()})
 }
 
 func (t *tracedComm) Send(to int, tag comm.Tag, buf []byte) error {
-	err := t.inner.Send(to, tag, buf)
+	err := t.Unwrap().Send(to, tag, buf)
 	if err == nil {
-		t.sink.record(Event{Rank: t.Rank(), Kind: KindSend, Peer: to, Tag: tag, Bytes: len(buf), Time: t.now()})
+		t.sink.record(Event{Rank: t.Rank(), Kind: KindSend, Peer: to, Tag: tag, Bytes: len(buf), Time: t.Now()})
 	}
 	return err
 }
 
 func (t *tracedComm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
-	n, err := t.inner.Recv(from, tag, buf)
+	n, err := t.Unwrap().Recv(from, tag, buf)
 	if err == nil {
-		t.sink.record(Event{Rank: t.Rank(), Kind: KindRecv, Peer: from, Tag: tag, Bytes: n, Time: t.now()})
+		t.sink.record(Event{Rank: t.Rank(), Kind: KindRecv, Peer: from, Tag: tag, Bytes: n, Time: t.Now()})
 	}
 	return n, err
 }
 
 func (t *tracedComm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error) {
-	req, err := t.inner.Isend(to, tag, buf)
+	req, err := t.Unwrap().Isend(to, tag, buf)
 	if err != nil {
 		return nil, err
 	}
-	t.sink.record(Event{Rank: t.Rank(), Kind: KindSend, Peer: to, Tag: tag, Bytes: len(buf), Time: t.now()})
+	t.sink.record(Event{Rank: t.Rank(), Kind: KindSend, Peer: to, Tag: tag, Bytes: len(buf), Time: t.Now()})
 	return req, nil
 }
 
 func (t *tracedComm) Irecv(from int, tag comm.Tag, buf []byte) (comm.Request, error) {
-	req, err := t.inner.Irecv(from, tag, buf)
+	req, err := t.Unwrap().Irecv(from, tag, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +144,7 @@ func (r *tracedRecvReq) Wait() error {
 	if err == nil {
 		r.once.Do(func() {
 			r.t.sink.record(Event{Rank: r.t.Rank(), Kind: KindRecv, Peer: r.from,
-				Tag: r.tag, Bytes: r.Request.Len(), Time: r.t.now()})
+				Tag: r.tag, Bytes: r.Request.Len(), Time: r.t.Now()})
 		})
 	}
 	return err
@@ -173,19 +160,11 @@ func (r *tracedRecvReq) Test() (bool, error) {
 	if err == nil {
 		r.once.Do(func() {
 			r.t.sink.record(Event{Rank: r.t.Rank(), Kind: KindRecv, Peer: r.from,
-				Tag: r.tag, Bytes: r.Request.Len(), Time: r.t.now()})
+				Tag: r.tag, Bytes: r.Request.Len(), Time: r.t.Now()})
 		})
 	}
 	return true, err
 }
-
-// tracedClockComm re-exposes the Clock interface.
-type tracedClockComm struct {
-	*tracedComm
-}
-
-// Now implements comm.Clock.
-func (t *tracedClockComm) Now() float64 { return t.now() }
 
 // Summary aggregates a sink per rank.
 type Summary struct {

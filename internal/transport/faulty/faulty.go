@@ -93,7 +93,7 @@ func (o Options) needRNG() bool {
 
 // New returns a communicator injecting the configured faults around c.
 func New(c comm.Comm, o Options) comm.Comm {
-	f := &faultyComm{inner: c, opts: o}
+	f := &faultyComm{Forward: comm.NewForward(c), opts: o}
 	if o.needRNG() {
 		// Mix the rank into the seed (splitmix-style odd constant) so
 		// ranks draw distinct but individually reproducible streams.
@@ -111,21 +111,16 @@ func Wrap(c comm.Comm, b *Budget) comm.Comm {
 	return New(c, Options{Send: b})
 }
 
+// faultyComm injects faults around the data path only; every capability
+// passes through (comm.Forward), so fault-tolerant sessions keep their
+// deadline, detector and purge guarantees under injected chaos.
 type faultyComm struct {
-	inner comm.Comm
-	opts  Options
+	comm.Forward
+	opts Options
 
 	rngMu sync.Mutex // rand.Rand is not goroutine-safe; ops may be concurrent
 	rng   *rand.Rand
 }
-
-// Unwrap reveals the wrapped communicator (the errors.Unwrap convention),
-// letting capability probes like the flight recorder's walk the chain.
-func (f *faultyComm) Unwrap() comm.Comm { return f.inner }
-
-func (f *faultyComm) Rank() int           { return f.inner.Rank() }
-func (f *faultyComm) Size() int           { return f.inner.Size() }
-func (f *faultyComm) ChargeCompute(n int) { f.inner.ChargeCompute(n) }
 
 // draw samples one uniform variate from the per-rank stream.
 func (f *faultyComm) draw() float64 {
@@ -181,7 +176,7 @@ func (f *faultyComm) Send(to int, tag comm.Tag, buf []byte) error {
 	if err := f.sendFault(to, tag); err != nil {
 		return err
 	}
-	return f.inner.Send(to, tag, buf)
+	return f.Unwrap().Send(to, tag, buf)
 }
 
 func (f *faultyComm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error) {
@@ -189,12 +184,12 @@ func (f *faultyComm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, erro
 	if err := f.sendFault(to, tag); err != nil {
 		return nil, err
 	}
-	return f.inner.Isend(to, tag, buf)
+	return f.Unwrap().Isend(to, tag, buf)
 }
 
 func (f *faultyComm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
 	f.delay()
-	n, err := f.inner.Recv(from, tag, buf)
+	n, err := f.Unwrap().Recv(from, tag, buf)
 	if err == nil {
 		err = f.recvFault(from, tag)
 	}
@@ -203,7 +198,7 @@ func (f *faultyComm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
 
 func (f *faultyComm) Irecv(from int, tag comm.Tag, buf []byte) (comm.Request, error) {
 	f.delay()
-	req, err := f.inner.Irecv(from, tag, buf)
+	req, err := f.Unwrap().Irecv(from, tag, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -257,46 +252,3 @@ func (r *faultyRecvReq) Test() (bool, error) {
 }
 
 func (r *faultyRecvReq) Len() int { return r.inner.Len() }
-
-// Now forwards Clock when the wrapped communicator tracks virtual time.
-func (f *faultyComm) Now() float64 {
-	if cl, ok := f.inner.(comm.Clock); ok {
-		return cl.Now()
-	}
-	return 0
-}
-
-// HasClock implements comm.ClockProber.
-func (f *faultyComm) HasClock() bool {
-	_, ok := comm.VirtualClock(f.inner)
-	return ok
-}
-
-// SetOpTimeout forwards Deadliner (no-op otherwise), so fault-tolerant
-// sessions keep their deadline guarantees under injected chaos.
-func (f *faultyComm) SetOpTimeout(d time.Duration) {
-	if dl, ok := f.inner.(comm.Deadliner); ok {
-		dl.SetOpTimeout(d)
-	}
-}
-
-// Failed forwards FailureDetector (nil otherwise).
-func (f *faultyComm) Failed() []int {
-	if fd, ok := f.inner.(comm.FailureDetector); ok {
-		return fd.Failed()
-	}
-	return nil
-}
-
-// PurgeTags forwards Purger (no-op otherwise).
-func (f *faultyComm) PurgeTags(lo, hi comm.Tag) {
-	if p, ok := f.inner.(comm.Purger); ok {
-		p.PurgeTags(lo, hi)
-	}
-}
-
-// Locality forwards comm.Locator (false otherwise): injected chaos does
-// not move ranks between nodes.
-func (f *faultyComm) Locality(rank int) (comm.Locality, bool) {
-	return comm.LocalityOf(f.inner, rank)
-}

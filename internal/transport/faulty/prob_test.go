@@ -119,31 +119,3 @@ func TestJitter(t *testing.T) {
 		}
 	}
 }
-
-// TestProbCapabilityForwarding: the wrapper forwards Deadliner and
-// FailureDetector to the transport underneath, so chaos wrappers compose
-// with the fault-tolerance layer.
-func TestProbCapabilityForwarding(t *testing.T) {
-	w := mem.NewWorld(2)
-	defer w.Close()
-	c := faulty.New(w.Comm(0), faulty.Options{Seed: 3})
-
-	dl, ok := c.(comm.Deadliner)
-	if !ok {
-		t.Fatal("faulty wrapper does not forward Deadliner")
-	}
-	dl.SetOpTimeout(20 * time.Millisecond)
-	if _, err := c.Recv(1, comm.TagUser, make([]byte, 1)); !errors.Is(err, comm.ErrTimeout) {
-		t.Fatalf("forwarded deadline: %v, want ErrTimeout", err)
-	}
-	dl.SetOpTimeout(0)
-
-	w.Kill(1)
-	fd, ok := c.(comm.FailureDetector)
-	if !ok {
-		t.Fatal("faulty wrapper does not forward FailureDetector")
-	}
-	if failed := fd.Failed(); len(failed) != 1 || failed[0] != 1 {
-		t.Fatalf("Failed() = %v, want [1]", failed)
-	}
-}

@@ -1,21 +1,40 @@
-// Package match implements the (source, tag) FIFO message-matching engine
-// shared by the byte-stream transports (tcp, shm). It reproduces the MPI
-// point-to-point semantics of the in-memory transport — exact (source,
-// tag) matching, FIFO ordering per (source, tag) pair, eager buffering of
-// unexpected messages, per-peer sticky failure — behind an API a
-// demultiplexing reader goroutine can drive.
+// Package match is the repository's one (source, tag) message matcher.
+// Every real transport — mem, tcp, shm — gives each rank one Engine and
+// posts and delivers through it, so the MPI point-to-point semantics the
+// collective algorithms rely on are defined exactly once:
+//
+//   - exact (source, tag) matching, FIFO per (source, tag) pair, whichever
+//     of the receive and the message arrives first;
+//   - eager buffering: a message with no posted receive parks on the
+//     unexpected queue until one is posted;
+//   - truncation: a message longer than the posted buffer fails that
+//     receive with comm.ErrTruncated and is consumed;
+//   - per-peer sticky failure (FailPeer): receives pending on the peer fail,
+//     later posts fail fast, but a message buffered before the failure was
+//     "on the wire" and still matches;
+//   - cancellation (Cancel, and the per-op deadline built on it): a
+//     cancelled receive is deregistered, so its buffer is never written
+//     afterwards;
+//   - tag-window purge (PurgeTags) and whole-engine poisoning (Fail).
 //
 // Payload buffers handed to Deliver come from the internal/buf pool and
 // are owned by the engine from that point: they are recycled once copied
 // into a posted receive (or dropped at purge/teardown). DeliverTo is the
-// zero-copy variant for transports whose payload already lives in
-// addressable memory (the shm handoff region): when a receive is already
-// posted, the payload is copied exactly once, straight into the user's
-// buffer, with no pooled staging in between.
+// single-copy variant for transports whose payload already lives in
+// addressable memory (the shm rings): when a receive is already posted,
+// the payload is copied exactly once, straight into the user's buffer.
+//
+// Allocation discipline: a posted receive and its comm.Request are one
+// object (*Recv), completion is announced on the engine's condition
+// variable rather than a per-receive channel, the blocking Recv path
+// recycles its receive through a free list (0 allocations), and queues pop
+// by shifting down so each (source, tag) entry keeps its backing array. A
+// timer exists only while a deadline-armed Wait is blocked.
 package match
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -23,113 +42,156 @@ import (
 	"exacoll/internal/comm"
 )
 
-// Engine is one rank's matching state. Failures are tracked per peer so
-// one peer's death does not poison receives still pending from others.
+// Engine is one rank's matching state. All fields are guarded by mu; cond
+// (L = &mu) is broadcast whenever a receive posted on this engine settles.
+// Failures are tracked per peer so one peer's death does not poison
+// receives still pending from others.
 type Engine struct {
 	mu         sync.Mutex
-	unexpected map[key][][]byte
+	cond       sync.Cond
+	unexpected map[key][][]byte // eager payloads, pool-owned
 	posted     map[key][]*Recv
-	peerErr    map[int]error
+	peerErr    map[int]error // sticky per-peer failure
+	free       []*Recv       // settled receives recycled by Recv
 	closed     error
 }
 
+// key identifies a message stream. The hot paths build it once, before
+// taking the lock, and index the maps through a pointer to it (m[*k]): the
+// compiler then hands the map runtime that address, where a by-value local
+// is re-copied to a temporary in front of every map call and the hash's
+// wide load stalls on the two narrow stores just made — 2.7% of a whole
+// solver_small_mem step, measured.
 type key struct {
 	src int
 	tag comm.Tag
 }
 
-// Recv is one posted receive. Wait on it through the Request wrapper
-// (Engine.Request) or directly via WaitDone.
-type Recv struct {
-	buf  []byte
-	done chan struct{}
-	n    int
-	err  error
-}
-
-func (r *Recv) wait() error {
-	<-r.done
-	return r.err
-}
+// maxFree bounds the per-engine receive free list.
+const maxFree = 64
 
 // New returns an empty engine.
 func New() *Engine {
-	return &Engine{
+	e := &Engine{
 		unexpected: make(map[key][][]byte),
 		posted:     make(map[key][]*Recv),
 		peerErr:    make(map[int]error),
 	}
+	e.cond.L = &e.mu
+	return e
 }
 
-// Deliver hands an inbound payload — a pool-owned buffer — to its matching
-// receive, or parks it on the unexpected queue. The engine owns the buffer
-// from here: it is recycled once copied into a receive (or dropped).
-func (e *Engine) Deliver(src int, tag comm.Tag, payload []byte) {
+// Recv is one posted receive and its comm.Request handle (it also
+// implements comm.Tester). n, err and settled are guarded by the engine's
+// mutex; Wait and Test read them under it, which orders a later Len.
+type Recv struct {
+	e       *Engine
+	key     key
+	buf     []byte
+	n       int
+	err     error
+	settled bool
+	timeout time.Duration // per-op deadline applied by Wait; 0 = unbounded
+}
+
+// popRecv removes and returns the oldest receive posted for k, or nil.
+// Pops shift down so the map entry keeps its backing array: steady-state
+// traffic on a key then appends without allocating.
+func (e *Engine) popRecv(k *key) *Recv {
+	prs := e.posted[*k]
+	if len(prs) == 0 {
+		return nil
+	}
+	pr := prs[0]
+	copy(prs, prs[1:])
+	prs[len(prs)-1] = nil
+	e.posted[*k] = prs[:len(prs)-1]
+	return pr
+}
+
+// finish settles the receive. Caller holds e.mu.
+func (r *Recv) finish(n int, err error) {
+	r.n, r.err, r.settled = n, err, true
+	r.e.cond.Broadcast()
+}
+
+// complete settles the receive with payload, taking ownership of it (a
+// pool buffer). Caller holds e.mu.
+func (r *Recv) complete(payload []byte) {
+	if len(payload) > len(r.buf) {
+		r.finish(0, fmt.Errorf("%w: have %d bytes, message is %d",
+			comm.ErrTruncated, len(r.buf), len(payload)))
+	} else {
+		r.finish(copy(r.buf, payload), nil)
+	}
+	scratch.Put(payload)
+}
+
+// Deliver hands an inbound payload — a pool-owned buffer — to its oldest
+// matching receive, or parks it on the unexpected queue. The engine owns
+// the buffer from here. A closed engine or a source already marked failed
+// drops the payload and reports why (byte-stream transports, whose reader
+// is about to stop anyway, ignore the result).
+func (e *Engine) Deliver(src int, tag comm.Tag, payload []byte) error {
+	k := &key{src, tag}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed != nil || e.peerErr[src] != nil {
+	if err := e.failure(src); err != nil {
 		scratch.Put(payload)
-		return
+		return err
 	}
-	k := key{src, tag}
-	if prs := e.posted[k]; len(prs) > 0 {
-		pr := prs[0]
-		if len(prs) == 1 {
-			delete(e.posted, k)
-		} else {
-			e.posted[k] = prs[1:]
-		}
+	if pr := e.popRecv(k); pr != nil {
 		pr.complete(payload)
-		scratch.Put(payload)
-		return
+		return nil
 	}
-	e.unexpected[k] = append(e.unexpected[k], payload)
+	e.unexpected[*k] = append(e.unexpected[*k], payload)
+	return nil
+}
+
+// failure is the error that makes src's traffic undeliverable: the
+// engine's own closure, else the peer's recorded failure. Caller holds e.mu.
+func (e *Engine) failure(src int) error {
+	if e.closed != nil {
+		return e.closed
+	}
+	return e.peerErr[src]
 }
 
 // DeliverTo delivers an n-byte message whose payload is produced by read —
 // a callback that must fill exactly its argument (e.g. a copy out of a
-// shared-memory region). When a matching receive is already posted and
-// large enough, read writes straight into the user's buffer: one copy
+// shared-memory ring). When a matching receive is already posted and large
+// enough, read writes straight into the user's buffer: one copy
 // end-to-end. Otherwise the payload is staged in a pooled buffer and
-// parked (or dropped on truncation into the posted receive's error).
+// handed to Deliver (which parks it, or fails a too-small receive).
 //
 // The caller must invoke DeliverTo for one source from a single goroutine
 // (the transport's per-peer reader), which preserves FIFO per (source,
 // tag). read's error is returned verbatim and fails the receive it was
-// targeting; the caller is expected to tear the peer down in response.
+// filling; the caller is expected to tear the peer down in response.
 func (e *Engine) DeliverTo(src int, tag comm.Tag, n int, read func(dst []byte) error) error {
-	k := key{src, tag}
+	k := &key{src, tag}
 	e.mu.Lock()
-	if e.closed != nil || e.peerErr[src] != nil {
-		e.mu.Unlock()
-		// Still consume the payload to keep the producer's stream coherent.
-		b := scratch.Get(n)
-		err := read(b)
-		scratch.Put(b)
-		return err
-	}
 	var pr *Recv
-	if prs := e.posted[k]; len(prs) > 0 && len(prs[0].buf) >= n {
-		pr = prs[0]
-		if len(prs) == 1 {
-			delete(e.posted, k)
-		} else {
-			e.posted[k] = prs[1:]
-		}
+	if prs := e.posted[*k]; len(prs) > 0 && len(prs[0].buf) >= n {
+		pr = e.popRecv(k)
 	}
 	e.mu.Unlock()
 	if pr != nil {
-		// The receive was unlinked above, so the engine can no longer cancel
-		// or purge it: this fill-then-complete is race-free.
-		if err := read(pr.buf[:n]); err != nil {
-			pr.err = err
-			close(pr.done)
-			return err
+		// The receive was unlinked above, so Cancel, PurgeTags and FailPeer
+		// can no longer reach it: filling outside the lock is race-free.
+		err := read(pr.buf[:n])
+		if err != nil {
+			n = 0
 		}
-		pr.n = n
-		close(pr.done)
-		return nil
+		e.mu.Lock()
+		pr.finish(n, err)
+		e.mu.Unlock()
+		return err
 	}
+	// Stage. A failed source or a closed engine has no posted receives
+	// (FailPeer and Fail fail them, post refuses new ones), so its payload
+	// always lands here: still consumed, to keep the producer's stream
+	// coherent, then dropped by Deliver.
 	payload := scratch.Get(n)
 	if err := read(payload); err != nil {
 		scratch.Put(payload)
@@ -139,88 +201,158 @@ func (e *Engine) DeliverTo(src int, tag comm.Tag, n int, read func(dst []byte) e
 	return nil
 }
 
-func (pr *Recv) complete(payload []byte) {
-	if len(payload) > len(pr.buf) {
-		pr.err = fmt.Errorf("%w: have %d bytes, message is %d",
-			comm.ErrTruncated, len(pr.buf), len(payload))
-	} else {
-		copy(pr.buf, payload)
-		pr.n = len(payload)
-	}
-	close(pr.done)
+// Post registers a receive into buf, matching the oldest already-buffered
+// message if one exists. Buffered messages are deliverable even if the
+// peer has since died (they were "on the wire"); only once the queue is
+// empty does the peer's failure fail the post.
+func (e *Engine) Post(src int, tag comm.Tag, buf []byte) (*Recv, error) {
+	k := &key{src, tag}
+	e.mu.Lock()
+	pr, err := e.post(k, buf, false)
+	e.mu.Unlock()
+	return pr, err
 }
 
-// Post registers a receive into buf, matching an already-buffered message
-// if one exists. Already-buffered messages are deliverable even if the
-// peer has since died (they were "on the wire").
-func (e *Engine) Post(src int, tag comm.Tag, buf []byte) (*Recv, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// post is Post with e.mu held. recycle lets it draw the receive from the
+// free list (the blocking path, which never lets the receive escape).
+func (e *Engine) post(k *key, buf []byte, recycle bool) (*Recv, error) {
 	if e.closed != nil {
 		return nil, e.closed
 	}
-	pr := &Recv{buf: buf, done: make(chan struct{})}
-	k := key{src, tag}
-	if msgs := e.unexpected[k]; len(msgs) > 0 {
-		m := msgs[0]
-		if len(msgs) == 1 {
-			delete(e.unexpected, k)
-		} else {
-			e.unexpected[k] = msgs[1:]
+	msgs := e.unexpected[*k]
+	if len(msgs) == 0 {
+		if err := e.peerErr[k.src]; err != nil {
+			return nil, err
 		}
-		pr.complete(m)
-		scratch.Put(m)
+	}
+	var pr *Recv
+	if n := len(e.free); recycle && n > 0 {
+		pr = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+		*pr = Recv{e: e, key: *k, buf: buf}
+	} else {
+		pr = &Recv{e: e, key: *k, buf: buf}
+	}
+	if len(msgs) == 0 {
+		e.posted[*k] = append(e.posted[*k], pr)
 		return pr, nil
 	}
-	if err := e.peerErr[src]; err != nil {
-		return nil, err
-	}
-	e.posted[k] = append(e.posted[k], pr)
+	m := msgs[0]
+	copy(msgs, msgs[1:]) // shift-down pop, see popRecv
+	msgs[len(msgs)-1] = nil
+	e.unexpected[*k] = msgs[:len(msgs)-1]
+	pr.complete(m)
 	return pr, nil
 }
 
+// Request arms a posted receive with the per-op timeout captured at post
+// time and returns it as a comm.Request. src and tag are pr's own (it
+// remembers them); the parameters stay for callers written against the
+// two-object API.
+func (e *Engine) Request(pr *Recv, src int, tag comm.Tag, timeout time.Duration) comm.Request {
+	pr.timeout = timeout
+	return pr
+}
+
+// Recv is the blocking receive: Post, Wait under the given timeout, and
+// recycle the receive, which never escapes this call — zero allocations
+// in steady state.
+func (e *Engine) Recv(src int, tag comm.Tag, buf []byte, timeout time.Duration) (int, error) {
+	k := &key{src, tag}
+	e.mu.Lock()
+	pr, err := e.post(k, buf, true)
+	if err != nil {
+		e.mu.Unlock()
+		return 0, err
+	}
+	pr.timeout = timeout
+	pr.waitLocked()
+	n, err := pr.n, pr.err
+	// A deadline-armed receive may still be referenced by its timer's
+	// callback, so only unbounded ones are recycled.
+	if timeout <= 0 && len(e.free) < maxFree {
+		*pr = Recv{}
+		e.free = append(e.free, pr)
+	}
+	e.mu.Unlock()
+	return n, err
+}
+
+// waitLocked blocks until the receive settles. With a deadline armed, a
+// timer cancels the receive when it expires; if the message won the race
+// the cancel finds nothing and the wait runs on to the completion.
+// Caller holds e.mu.
+func (r *Recv) waitLocked() {
+	if r.settled {
+		return
+	}
+	var t *time.Timer
+	if r.timeout > 0 {
+		t = time.AfterFunc(r.timeout, func() {
+			r.e.Cancel(r, fmt.Errorf("%w: no message from rank %d tag %d within %v",
+				comm.ErrTimeout, r.key.src, r.key.tag, r.timeout))
+		})
+	}
+	for !r.settled {
+		r.e.cond.Wait()
+	}
+	if t != nil {
+		t.Stop()
+	}
+}
+
+// Wait implements comm.Request.
+func (r *Recv) Wait() error {
+	r.e.mu.Lock()
+	r.waitLocked()
+	err := r.err
+	r.e.mu.Unlock()
+	return err
+}
+
+// Len implements comm.Request: the matched length, valid once Wait (or a
+// done Test) has returned.
+func (r *Recv) Len() int { return r.n }
+
+// Test implements comm.Tester: a nonblocking completion poll.
+func (r *Recv) Test() (bool, error) {
+	r.e.mu.Lock()
+	settled, err := r.settled, r.err
+	r.e.mu.Unlock()
+	return settled, err
+}
+
 // Cancel removes a still-pending posted receive and fails it with err,
-// reporting false when it already completed concurrently (in which case
-// its recorded result stands).
-func (e *Engine) Cancel(src int, tag comm.Tag, pr *Recv, err error) bool {
+// reporting false when it already settled (or is being filled by
+// DeliverTo) concurrently, in which case its own result stands.
+func (e *Engine) Cancel(pr *Recv, err error) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	k := key{src, tag}
-	prs := e.posted[k]
+	prs := e.posted[pr.key]
 	for i, q := range prs {
 		if q != pr {
 			continue
 		}
-		if len(prs) == 1 {
-			delete(e.posted, k)
-		} else {
-			e.posted[k] = append(prs[:i:i], prs[i+1:]...)
-		}
-		pr.err = err
-		close(pr.done)
+		copy(prs[i:], prs[i+1:])
+		prs[len(prs)-1] = nil
+		e.posted[pr.key] = prs[:len(prs)-1]
+		pr.finish(0, err)
 		return true
 	}
 	return false
 }
 
-// PeerError returns the recorded failure of a peer (nil while healthy).
+// PeerError returns the recorded failure of a peer (nil while healthy),
+// or the engine's own closure.
 func (e *Engine) PeerError(peer int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed != nil {
-		return e.closed
-	}
-	return e.peerErr[peer]
+	return e.failure(peer)
 }
 
-// PeerFailed reports whether a peer has a recorded failure.
-func (e *Engine) PeerFailed(peer int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.peerErr[peer] != nil
-}
-
-// FailedPeers lists peers with recorded failures (unordered).
+// FailedPeers lists the peers with recorded failures in ascending order
+// (the order comm.FailureDetector promises).
 func (e *Engine) FailedPeers() []int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -228,73 +360,31 @@ func (e *Engine) FailedPeers() []int {
 	for peer := range e.peerErr {
 		out = append(out, peer)
 	}
+	sort.Ints(out)
 	return out
 }
 
-// PurgeTags drops buffered messages with tags in [lo, hi) and cancels
-// receives still posted there with ErrTimeout (the quiesce of a retired
-// collective epoch).
-func (e *Engine) PurgeTags(lo, hi comm.Tag) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for k, msgs := range e.unexpected {
-		if k.tag >= lo && k.tag < hi {
-			for _, m := range msgs {
-				scratch.Put(m)
-			}
-			delete(e.unexpected, k)
-		}
-	}
+// failPosted fails every posted receive whose key satisfies match and
+// drops the emptied queues. Caller holds e.mu.
+func (e *Engine) failPosted(match func(key) bool, err error) {
 	for k, prs := range e.posted {
-		if k.tag < lo || k.tag >= hi {
+		if !match(k) {
 			continue
 		}
 		for _, pr := range prs {
-			pr.err = fmt.Errorf("%w: receive purged with its tag window", comm.ErrTimeout)
-			close(pr.done)
+			pr.finish(0, err)
 		}
 		delete(e.posted, k)
 	}
 }
 
-// FailPeer marks one peer dead: receives pending on that peer error out,
-// and future posts for it fail, but traffic with other peers continues.
-func (e *Engine) FailPeer(peer int, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed != nil || e.peerErr[peer] != nil {
-		return
-	}
-	e.peerErr[peer] = err
-	for k, prs := range e.posted {
-		if k.src != peer {
+// dropUnexpected recycles every buffered message whose key satisfies
+// match. Caller holds e.mu.
+func (e *Engine) dropUnexpected(match func(key) bool) {
+	for k, msgs := range e.unexpected {
+		if !match(k) {
 			continue
 		}
-		for _, pr := range prs {
-			pr.err = err
-			close(pr.done)
-		}
-		delete(e.posted, k)
-	}
-}
-
-// Fail poisons the whole engine (local Close): all pending and future
-// receives error with err.
-func (e *Engine) Fail(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed != nil {
-		return
-	}
-	e.closed = err
-	for k, prs := range e.posted {
-		for _, pr := range prs {
-			pr.err = err
-			close(pr.done)
-		}
-		delete(e.posted, k)
-	}
-	for k, msgs := range e.unexpected {
 		for _, m := range msgs {
 			scratch.Put(m)
 		}
@@ -302,58 +392,67 @@ func (e *Engine) Fail(err error) {
 	}
 }
 
+// PurgeTags drops buffered messages with tags in [lo, hi) and cancels
+// receives still posted there with ErrTimeout (the quiesce of a retired
+// collective epoch: they belong to a collective no one will complete).
+func (e *Engine) PurgeTags(lo, hi comm.Tag) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	in := func(k key) bool { return k.tag >= lo && k.tag < hi }
+	e.dropUnexpected(in)
+	e.failPosted(in, fmt.Errorf("%w: receive purged with its tag window", comm.ErrTimeout))
+}
+
+// FailPeer marks one peer dead: receives pending on that peer fail with
+// err and future posts for it fail fast, but already-buffered messages
+// stay matchable and traffic with other peers continues. The first
+// recorded failure sticks.
+func (e *Engine) FailPeer(peer int, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed != nil || e.peerErr[peer] != nil {
+		return
+	}
+	e.peerErr[peer] = err
+	e.failPosted(func(k key) bool { return k.src == peer }, err)
+}
+
+// Fail poisons the whole engine (local Close): all pending and future
+// receives fail with err and the unexpected queue is recycled.
+func (e *Engine) Fail(err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed != nil {
+		return
+	}
+	e.closed = err
+	all := func(key) bool { return true }
+	e.failPosted(all, err)
+	e.dropUnexpected(all)
+}
+
+// Sent is the request every successful eager Isend returns: the send
+// finished at post time (the payload was copied or written out) and carries
+// no per-send state, so all sends share this one value. Len reports 0,
+// which the comm.Request contract permits for sends.
+var Sent comm.Request = sent{}
+
+type sent struct{}
+
+func (sent) Wait() error         { return nil }
+func (sent) Len() int            { return 0 }
+func (sent) Test() (bool, error) { return true, nil }
+
 // UnexpectedCount reports how many (source, tag) queues currently hold
 // buffered unexpected messages — a test observability hook.
 func (e *Engine) UnexpectedCount() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.unexpected)
-}
-
-// Request wraps a posted receive as a comm.Request carrying the per-op
-// timeout captured at post time. It implements comm.Tester.
-func (e *Engine) Request(pr *Recv, src int, tag comm.Tag, timeout time.Duration) comm.Request {
-	return &Req{pr: pr, e: e, src: src, tag: tag, timeout: timeout}
-}
-
-// Req is the comm.Request handle of a posted receive.
-type Req struct {
-	pr      *Recv
-	e       *Engine
-	src     int
-	tag     comm.Tag
-	timeout time.Duration
-}
-
-// Wait implements comm.Request.
-func (r *Req) Wait() error {
-	if r.timeout <= 0 {
-		return r.pr.wait()
-	}
-	timer := time.NewTimer(r.timeout)
-	defer timer.Stop()
-	select {
-	case <-r.pr.done:
-		return r.pr.err
-	case <-timer.C:
-		terr := fmt.Errorf("%w: no message from rank %d tag %d within %v",
-			comm.ErrTimeout, r.src, r.tag, r.timeout)
-		if r.e.Cancel(r.src, r.tag, r.pr, terr) {
-			return terr
+	n := 0
+	for _, msgs := range e.unexpected {
+		if len(msgs) > 0 {
+			n++
 		}
-		return r.pr.wait()
 	}
-}
-
-// Len implements comm.Request.
-func (r *Req) Len() int { return r.pr.n }
-
-// Test implements comm.Tester: a nonblocking completion poll.
-func (r *Req) Test() (bool, error) {
-	select {
-	case <-r.pr.done:
-		return true, r.pr.err
-	default:
-		return false, nil
-	}
+	return n
 }

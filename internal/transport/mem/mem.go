@@ -1,22 +1,24 @@
 // Package mem provides an in-process implementation of comm.Comm: every
-// rank is a goroutine inside one OS process, and messages travel through a
-// matching engine with MPI point-to-point semantics — exact (source, tag)
-// matching, FIFO ordering per (source, tag) pair, eager buffering, and an
-// unexpected-message queue.
+// rank is a goroutine inside one OS process. A World is nothing but p
+// match.Engines — the same (source, tag) matcher tcp and shm deliver into —
+// plus the rank-kill flags: Send copies the payload into a pool buffer and
+// delivers it straight into the destination rank's engine, Recv and Irecv
+// post on the caller's own. Matching, FIFO, eager buffering, truncation,
+// deadlines, purge and peer-death semantics are therefore internal/
+// transport/match's, not this package's.
 //
 // This substrate provides real parallelism and real data movement, so it is
 // the primary vehicle for correctness tests, property tests, and wall-clock
 // testing.B benchmarks. For fault-tolerance testing it also implements the
 // comm capability interfaces: Deadliner (per-op timeouts with full
 // cancellation), FailureDetector (driven by World.Kill, the test harness's
-// rank-kill switch), and Purger (tag-window quiesce).
+// rank-kill switch), Purger (tag-window quiesce) and, once SetLocality has
+// declared a layout, Locator.
 //
 // The hot path is allocation-slim: eager payload copies come from the
-// internal/buf pool and return to it once consumed (matched into a posted
-// buffer, purged, or dropped at teardown); successful sends share one
-// immutable request; and a receive is a single allocation whose completion
-// is signalled through the endpoint's condition variable — a channel and
-// timer exist only when a per-op deadline is armed.
+// internal/buf pool and return to it once consumed, successful sends share
+// one immutable request, a blocking Recv allocates nothing and an Irecv
+// exactly one object.
 package mem
 
 import (
@@ -27,213 +29,14 @@ import (
 
 	"exacoll/internal/buf"
 	"exacoll/internal/comm"
+	"exacoll/internal/transport/match"
 )
 
-// matchKey identifies a message stream: exact source rank and tag.
-type matchKey struct {
-	src int
-	tag comm.Tag
-}
-
-// endpoint holds one rank's incoming-message state. All fields are guarded
-// by mu; cond (with L = &mu) is broadcast whenever any receive posted on
-// this endpoint completes.
-type endpoint struct {
-	mu         sync.Mutex
-	cond       sync.Cond
-	unexpected map[matchKey][][]byte // eager payload copies, pool-owned
-	posted     map[matchKey][]*recvReq
-	peerErr    map[int]error // per-peer failure (World.Kill), sticky
-	freeReqs   []*recvReq    // settled receives recycled by the Recv path
-	closed     bool
-}
-
-// maxFreeReqs bounds the per-endpoint receive-request free list.
-const maxFreeReqs = 64
-
-func newEndpoint() *endpoint {
-	e := &endpoint{
-		unexpected: make(map[matchKey][][]byte),
-		posted:     make(map[matchKey][]*recvReq),
-		peerErr:    make(map[int]error),
-	}
-	e.cond.L = &e.mu
-	return e
-}
-
-// deliver hands a message to this endpoint, taking ownership of payload
-// (a pool buffer): it completes the oldest posted receive for the key if
-// one exists, otherwise queues the payload on the unexpected queue.
-func (e *endpoint) deliver(key matchKey, payload []byte) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		buf.Put(payload)
-		return comm.ErrClosed
-	}
-	if prs := e.posted[key]; len(prs) > 0 {
-		pr := prs[0]
-		// Pop by shifting down so the map entry keeps its backing array:
-		// steady-state traffic on a key then appends without allocating.
-		copy(prs, prs[1:])
-		prs[len(prs)-1] = nil
-		e.posted[key] = prs[:len(prs)-1]
-		pr.complete(payload)
-		return nil
-	}
-	e.unexpected[key] = append(e.unexpected[key], payload)
-	return nil
-}
-
-// post registers a receive, matching an already-queued message if present.
-// A message buffered before the sender died is still deliverable (it was
-// "on the wire"); only once the queue is empty does the peer's death fail
-// the receive.
-func (e *endpoint) post(key matchKey, recvBuf []byte, timeout time.Duration) (*recvReq, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return nil, comm.ErrClosed
-	}
-	var pr *recvReq
-	if n := len(e.freeReqs); n > 0 && timeout <= 0 {
-		pr = e.freeReqs[n-1]
-		e.freeReqs[n-1] = nil
-		e.freeReqs = e.freeReqs[:n-1]
-		*pr = recvReq{ep: e, key: key, buf: recvBuf}
-	} else {
-		pr = &recvReq{ep: e, key: key, buf: recvBuf, timeout: timeout}
-		if timeout > 0 {
-			// Only deadline-armed receives need a channel: Wait must be
-			// able to select against a timer. The common path completes
-			// through the endpoint's condition variable instead.
-			pr.done = make(chan struct{})
-		}
-	}
-	if msgs := e.unexpected[key]; len(msgs) > 0 {
-		m := msgs[0]
-		// Shift-down pop, retaining the entry's backing array (see deliver).
-		copy(msgs, msgs[1:])
-		msgs[len(msgs)-1] = nil
-		e.unexpected[key] = msgs[:len(msgs)-1]
-		pr.complete(m)
-		return pr, nil
-	}
-	if err := e.peerErr[key.src]; err != nil {
-		return nil, err
-	}
-	e.posted[key] = append(e.posted[key], pr)
-	return pr, nil
-}
-
-// release returns a settled receive to the endpoint's free list. Only the
-// synchronous Recv path may call it: Irecv hands the request to the caller,
-// who may retain it indefinitely. Deadline-armed receives carry a closed
-// channel that cannot be reused, so they go to the GC instead.
-func (e *endpoint) release(r *recvReq) {
-	if r.done != nil {
-		return
-	}
-	e.mu.Lock()
-	if len(e.freeReqs) < maxFreeReqs {
-		*r = recvReq{}
-		e.freeReqs = append(e.freeReqs, r)
-	}
-	e.mu.Unlock()
-}
-
-// cancel removes a still-pending posted receive and fails it with err. It
-// reports false when the receive already completed (or was removed)
-// concurrently, in which case its recorded result stands.
-func (e *endpoint) cancel(key matchKey, pr *recvReq, err error) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	prs := e.posted[key]
-	for i, q := range prs {
-		if q != pr {
-			continue
-		}
-		copy(prs[i:], prs[i+1:])
-		prs[len(prs)-1] = nil
-		e.posted[key] = prs[:len(prs)-1]
-		pr.fail(err)
-		return true
-	}
-	return false
-}
-
-// failPeer marks one peer dead for this endpoint: receives pending on that
-// peer error out and future posts for it fail fast, but already-buffered
-// messages remain matchable and traffic with other peers continues.
-func (e *endpoint) failPeer(peer int, err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed || e.peerErr[peer] != nil {
-		return
-	}
-	e.peerErr[peer] = err
-	for key, prs := range e.posted {
-		if key.src != peer {
-			continue
-		}
-		for _, pr := range prs {
-			pr.fail(err)
-		}
-		delete(e.posted, key)
-	}
-}
-
-// purgeTags implements the quiesce: buffered messages with tags in [lo, hi)
-// are dropped (their pool buffers recycled) and receives still posted there
-// are cancelled with ErrTimeout (they belong to an aborted collective no
-// one will complete).
-func (e *endpoint) purgeTags(lo, hi comm.Tag) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for key, msgs := range e.unexpected {
-		if key.tag >= lo && key.tag < hi {
-			for _, m := range msgs {
-				buf.Put(m)
-			}
-			delete(e.unexpected, key)
-		}
-	}
-	for key, prs := range e.posted {
-		if key.tag < lo || key.tag >= hi {
-			continue
-		}
-		for _, pr := range prs {
-			pr.fail(fmt.Errorf("%w: receive purged with its tag window", comm.ErrTimeout))
-		}
-		delete(e.posted, key)
-	}
-}
-
-// shutdown marks the endpoint closed, failing every pending receive with
-// ErrClosed and recycling the unexpected queue (nothing can match it once
-// closed). Caller must not hold e.mu.
-func (e *endpoint) shutdown() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.closed = true
-	for key, prs := range e.posted {
-		for _, pr := range prs {
-			pr.fail(comm.ErrClosed)
-		}
-		delete(e.posted, key)
-	}
-	for key, msgs := range e.unexpected {
-		for _, m := range msgs {
-			buf.Put(m)
-		}
-		delete(e.unexpected, key)
-	}
-}
-
-// World is a set of p endpoints sharing an address space.
+// World is a set of p ranks sharing an address space: one matching engine
+// per rank.
 type World struct {
-	endpoints []*endpoint
-	dead      []atomic.Bool // set by Kill; read by every handle
+	engines []*match.Engine
+	dead    []atomic.Bool // set by Kill; read by every handle
 
 	ppn   atomic.Int64 // synthetic ranks-per-node; 0 = no locality declared
 	ports atomic.Int64 // synthetic NIC ports per node
@@ -244,22 +47,22 @@ func NewWorld(p int) *World {
 	if p < 1 {
 		panic("mem: world size must be >= 1")
 	}
-	w := &World{endpoints: make([]*endpoint, p), dead: make([]atomic.Bool, p)}
-	for i := range w.endpoints {
-		w.endpoints[i] = newEndpoint()
+	w := &World{engines: make([]*match.Engine, p), dead: make([]atomic.Bool, p)}
+	for i := range w.engines {
+		w.engines[i] = match.New()
 	}
 	return w
 }
 
 // Size returns the number of ranks in the world.
-func (w *World) Size() int { return len(w.endpoints) }
+func (w *World) Size() int { return len(w.engines) }
 
 // Comm returns rank r's communicator handle. Each rank must drive its own
 // handle from a single goroutine (MPI semantics); distinct ranks may run
 // concurrently.
 func (w *World) Comm(rank int) comm.Comm {
-	if rank < 0 || rank >= len(w.endpoints) {
-		panic(fmt.Sprintf("mem: rank %d out of range [0,%d)", rank, len(w.endpoints)))
+	if rank < 0 || rank >= len(w.engines) {
+		panic(fmt.Sprintf("mem: rank %d out of range [0,%d)", rank, len(w.engines)))
 	}
 	return &memComm{world: w, rank: rank}
 }
@@ -287,18 +90,18 @@ func (w *World) SetLocality(ppn, ports int) {
 // switch for the chaos tests; it is safe to call from any goroutine and is
 // idempotent.
 func (w *World) Kill(rank int) {
-	if rank < 0 || rank >= len(w.endpoints) {
-		panic(fmt.Sprintf("mem: kill rank %d out of range [0,%d)", rank, len(w.endpoints)))
+	if rank < 0 || rank >= len(w.engines) {
+		panic(fmt.Sprintf("mem: kill rank %d out of range [0,%d)", rank, len(w.engines)))
 	}
 	if w.dead[rank].Swap(true) {
 		return
 	}
 	// The dying rank's own pending receives release with ErrClosed.
-	w.endpoints[rank].shutdown()
+	w.engines[rank].Fail(comm.ErrClosed)
 	err := fmt.Errorf("%w: rank %d killed", comm.ErrPeerDead, rank)
-	for r, e := range w.endpoints {
+	for r, e := range w.engines {
 		if r != rank {
-			e.failPeer(rank, err)
+			e.FailPeer(rank, err)
 		}
 	}
 }
@@ -306,8 +109,8 @@ func (w *World) Kill(rank int) {
 // Close shuts the world down; subsequent operations return ErrClosed and
 // blocked receives are released with ErrClosed.
 func (w *World) Close() {
-	for _, e := range w.endpoints {
-		e.shutdown()
+	for _, e := range w.engines {
+		e.Fail(comm.ErrClosed)
 	}
 }
 
@@ -317,19 +120,13 @@ func (w *World) Close() {
 // released with ErrClosed instead of hanging (the moral equivalent of
 // MPI_Abort).
 func (w *World) Run(fn func(c comm.Comm) error) error {
-	errs := make([]error, w.Size())
-	var wg sync.WaitGroup
-	for r := 0; r < w.Size(); r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			errs[r] = fn(w.Comm(r))
-			if errs[r] != nil {
-				w.Close()
-			}
-		}(r)
-	}
-	wg.Wait()
+	errs := w.RunAll(func(c comm.Comm) error {
+		err := fn(c)
+		if err != nil {
+			w.Close()
+		}
+		return err
+	})
 	for r, err := range errs {
 		if err != nil {
 			return fmt.Errorf("rank %d: %w", r, err)
@@ -370,22 +167,15 @@ func (c *memComm) ChargeCompute(int) {}
 // SetOpTimeout implements comm.Deadliner for this handle.
 func (c *memComm) SetOpTimeout(d time.Duration) { c.opTimeout = d }
 
-// Failed implements comm.FailureDetector: the ranks killed so far. The mem
-// world's detector is a perfect oracle (kills are instantly visible), the
+// Failed implements comm.FailureDetector: the ranks killed so far, as this
+// rank's engine recorded them. The mem world's detector is a perfect
+// oracle (Kill has told every engine by the time it returns), the
 // strongest detector the agreement layer can be tested against.
-func (c *memComm) Failed() []int {
-	var out []int
-	for r := range c.world.dead {
-		if r != c.rank && c.world.dead[r].Load() {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+func (c *memComm) Failed() []int { return c.world.engines[c.rank].FailedPeers() }
 
-// PurgeTags implements comm.Purger for this rank's endpoint.
+// PurgeTags implements comm.Purger for this rank's engine.
 func (c *memComm) PurgeTags(lo, hi comm.Tag) {
-	c.world.endpoints[c.rank].purgeTags(lo, hi)
+	c.world.engines[c.rank].PurgeTags(lo, hi)
 }
 
 // Locality implements comm.Locator once SetLocality has declared a
@@ -415,153 +205,31 @@ func (c *memComm) Send(to int, tag comm.Tag, b []byte) error {
 	}
 	payload := buf.Get(len(b))
 	copy(payload, b)
-	return c.world.endpoints[to].deliver(matchKey{src: c.rank, tag: tag}, payload)
+	return c.world.engines[to].Deliver(c.rank, tag, payload)
 }
 
 func (c *memComm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
-	req, err := c.Irecv(from, tag, buf)
-	if err != nil {
+	if err := comm.CheckPeer(c.rank, from, c.Size()); err != nil {
 		return 0, err
 	}
-	// The request never escapes this frame, so after Wait settles it the
-	// endpoint can recycle it.
-	pr := req.(*recvReq)
-	werr := pr.Wait()
-	n := pr.n // stable once settled; Wait's lock ordered this read
-	c.world.endpoints[c.rank].release(pr)
-	if werr != nil {
-		return 0, werr
-	}
-	return n, nil
+	return c.world.engines[c.rank].Recv(from, tag, buf, c.opTimeout)
 }
-
-// sentRequest is an immediately-complete send request (eager semantics).
-// Every successful Isend returns the same shared instance: the operation
-// finished at post time and carries no per-send state. Len reports 0,
-// which the comm.Request contract permits for sends.
-type sentRequest struct{}
-
-func (*sentRequest) Wait() error { return nil }
-func (*sentRequest) Len() int    { return 0 }
-
-// Test implements comm.Tester: eager sends complete at post time.
-func (*sentRequest) Test() (bool, error) { return true, nil }
-
-var eagerSent = &sentRequest{}
 
 func (c *memComm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error) {
-	err := c.Send(to, tag, buf)
-	if err != nil {
+	if err := c.Send(to, tag, buf); err != nil {
 		return nil, err
 	}
-	return eagerSent, nil
-}
-
-// recvReq is a posted receive and its comm.Request handle in one object.
-// Mutable state (n, err, completed) is guarded by ep.mu; completion is
-// announced on ep.cond, plus the done channel when a deadline armed it.
-type recvReq struct {
-	ep      *endpoint
-	key     matchKey
-	buf     []byte
-	n       int
-	err     error
-	settled bool
-	done    chan struct{} // non-nil only when timeout > 0
-	timeout time.Duration
-}
-
-// complete finishes the receive with the given payload, taking ownership
-// of it (a pool buffer). Caller holds ep.mu.
-func (r *recvReq) complete(payload []byte) {
-	if len(payload) > len(r.buf) {
-		r.err = fmt.Errorf("%w: have %d bytes, message is %d",
-			comm.ErrTruncated, len(r.buf), len(payload))
-	} else {
-		copy(r.buf, payload)
-		r.n = len(payload)
-	}
-	buf.Put(payload)
-	r.finish()
-}
-
-// fail finishes the receive with err. Caller holds ep.mu.
-func (r *recvReq) fail(err error) {
-	r.err = err
-	r.finish()
-}
-
-func (r *recvReq) finish() {
-	r.settled = true
-	if r.done != nil {
-		close(r.done)
-	}
-	r.ep.cond.Broadcast()
-}
-
-func (r *recvReq) Wait() error {
-	if r.done == nil {
-		r.ep.mu.Lock()
-		for !r.settled {
-			r.ep.cond.Wait()
-		}
-		r.ep.mu.Unlock()
-		return r.err
-	}
-	timer := time.NewTimer(r.timeout)
-	defer timer.Stop()
-	select {
-	case <-r.done:
-		return r.err
-	case <-timer.C:
-		terr := fmt.Errorf("%w: no message from rank %d tag %d within %v",
-			comm.ErrTimeout, r.key.src, r.key.tag, r.timeout)
-		if r.ep.cancel(r.key, r, terr) {
-			return terr
-		}
-		// Completed concurrently with the timer; the result stands.
-		<-r.done
-		return r.err
-	}
-}
-
-func (r *recvReq) Len() int {
-	if r.done != nil {
-		<-r.done
-		return r.n
-	}
-	r.ep.mu.Lock()
-	n := r.n
-	r.ep.mu.Unlock()
-	return n
-}
-
-// Test implements comm.Tester: a nonblocking completion poll.
-func (r *recvReq) Test() (bool, error) {
-	if r.done != nil {
-		select {
-		case <-r.done:
-			return true, r.err
-		default:
-			return false, nil
-		}
-	}
-	r.ep.mu.Lock()
-	settled, err := r.settled, r.err
-	r.ep.mu.Unlock()
-	return settled, err
+	return match.Sent, nil
 }
 
 func (c *memComm) Irecv(from int, tag comm.Tag, buf []byte) (comm.Request, error) {
 	if err := comm.CheckPeer(c.rank, from, c.Size()); err != nil {
 		return nil, err
 	}
-	if c.world.dead[c.rank].Load() {
-		return nil, comm.ErrClosed
-	}
-	pr, err := c.world.endpoints[c.rank].post(matchKey{src: from, tag: tag}, buf, c.opTimeout)
+	e := c.world.engines[c.rank]
+	pr, err := e.Post(from, tag, buf)
 	if err != nil {
 		return nil, err
 	}
-	return pr, nil
+	return e.Request(pr, from, tag, c.opTimeout), nil
 }

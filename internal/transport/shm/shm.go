@@ -303,21 +303,11 @@ func (p *Proc) Send(to int, tag comm.Tag, b []byte) error {
 	return nil
 }
 
-// sentReq is the shared immediately-complete send request (eager
-// semantics, like mem and tcp).
-type sentReq struct{}
-
-func (*sentReq) Wait() error         { return nil }
-func (*sentReq) Len() int            { return 0 }
-func (*sentReq) Test() (bool, error) { return true, nil }
-
-var eagerSent = &sentReq{}
-
 func (p *Proc) Isend(to int, tag comm.Tag, b []byte) (comm.Request, error) {
 	if err := p.Send(to, tag, b); err != nil {
 		return nil, err
 	}
-	return eagerSent, nil
+	return match.Sent, nil
 }
 
 func (p *Proc) Irecv(from int, tag comm.Tag, b []byte) (comm.Request, error) {
@@ -332,14 +322,10 @@ func (p *Proc) Irecv(from int, tag comm.Tag, b []byte) (comm.Request, error) {
 }
 
 func (p *Proc) Recv(from int, tag comm.Tag, b []byte) (int, error) {
-	req, err := p.Irecv(from, tag, b)
-	if err != nil {
+	if err := comm.CheckPeer(p.rank, from, p.size); err != nil {
 		return 0, err
 	}
-	if err := req.Wait(); err != nil {
-		return 0, err
-	}
-	return req.Len(), nil
+	return p.engine.Recv(from, tag, b, time.Duration(p.opTimeout.Load()))
 }
 
 // readAbort is polled by a blocked payload read. readFull only invokes

@@ -214,6 +214,35 @@ func TestKillSymmetric(t *testing.T) {
 	}
 }
 
+// TestFailedIsAscending: comm.FailureDetector promises ascending order.
+// With two dead peers every survivor must report [1 4] on every call —
+// map-iteration order would get it wrong about every other call.
+func TestFailedIsAscending(t *testing.T) {
+	w := NewWorld(6)
+	defer w.Close()
+	comms := make([]comm.Comm, 6)
+	for r := range comms {
+		comms[r] = w.Comm(r)
+	}
+	w.Kill(4)
+	w.Kill(1)
+	deadline := time.Now().Add(5 * time.Second)
+	for _, r := range []int{0, 2, 3, 5} {
+		fd := comms[r].(comm.FailureDetector)
+		for len(fd.Failed()) < 2 {
+			if time.Now().After(deadline) {
+				t.Fatalf("rank %d: Failed() = %v, want both kills detected", r, fd.Failed())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		for i := 0; i < 64; i++ {
+			if f := fd.Failed(); len(f) != 2 || f[0] != 1 || f[1] != 4 {
+				t.Fatalf("rank %d: Failed() = %v, want [1 4]", r, f)
+			}
+		}
+	}
+}
+
 // TestHeartbeatDetectsWedgedRank: a rank that stops publishing
 // heartbeats (but never transitions its state) is declared dead by the
 // staleness CAS, and all survivors agree.

@@ -41,7 +41,7 @@ func (pl *Pool) Acquire() (*Shared, error) {
 		return nil, fmt.Errorf("tcp: pool closed: %w", comm.ErrClosed)
 	}
 	pl.refs++
-	return &Shared{proc: pl.proc, pool: pl}, nil
+	return &Shared{Forward: comm.NewForward(pl.proc), proc: pl.proc, pool: pl}, nil
 }
 
 // Refs reports the number of live handles (excluding the pool's own
@@ -80,11 +80,14 @@ func (pl *Pool) release() {
 	}
 }
 
-// Shared is one session's handle on a pooled Proc. It implements
-// comm.Comm, comm.Deadliner (per-handle), comm.FailureDetector,
-// comm.Purger, and comm.Locator, and reveals the Proc through Unwrap so
-// capability probes (flight.RecorderOf) walk through it.
+// Shared is one session's handle on a pooled Proc. The Proc's detector,
+// purger and locator pass through (comm.Forward); the deadline does not —
+// each handle carries its own, applied to its own operations. The engine
+// is shared, so callers are expected to purge only tag windows they own (a
+// session purges inside its namespace slot; the slot recycler purges a
+// whole window).
 type Shared struct {
+	comm.Forward
 	proc *Proc
 	pool *Pool
 
@@ -99,19 +102,6 @@ func (s *Shared) Release() {
 		s.pool.release()
 	}
 }
-
-// Unwrap reveals the pooled Proc (the errors.Unwrap convention for
-// wrapper chains).
-func (s *Shared) Unwrap() comm.Comm { return s.proc }
-
-// Rank implements comm.Comm.
-func (s *Shared) Rank() int { return s.proc.Rank() }
-
-// Size implements comm.Comm.
-func (s *Shared) Size() int { return s.proc.Size() }
-
-// ChargeCompute implements comm.Comm.
-func (s *Shared) ChargeCompute(n int) { s.proc.ChargeCompute(n) }
 
 // Send implements comm.Comm with this handle's deadline.
 func (s *Shared) Send(to int, tag comm.Tag, buf []byte) error {
@@ -141,14 +131,3 @@ func (s *Shared) SetOpTimeout(d time.Duration) {
 	}
 	s.opTimeout.Store(int64(d))
 }
-
-// Failed implements comm.FailureDetector.
-func (s *Shared) Failed() []int { return s.proc.Failed() }
-
-// PurgeTags implements comm.Purger. The engine is shared, so callers are
-// expected to purge only tag windows they own (a session purges inside
-// its namespace slot; the slot recycler purges a whole window).
-func (s *Shared) PurgeTags(lo, hi comm.Tag) { s.proc.PurgeTags(lo, hi) }
-
-// Locality implements comm.Locator.
-func (s *Shared) Locality(rank int) (comm.Locality, bool) { return s.proc.Locality(rank) }

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -543,7 +542,7 @@ func (p *Proc) heartbeatLoop(interval time.Duration) {
 		case <-ticker.C:
 		}
 		for peer := range p.conns {
-			if peer == p.rank || p.engine.PeerFailed(peer) {
+			if peer == p.rank || p.engine.PeerError(peer) != nil {
 				continue
 			}
 			p.sendMu[peer].Lock()
@@ -573,7 +572,7 @@ func (p *Proc) monitorLoop(interval, suspectAfter time.Duration) {
 		}
 		now := time.Now().UnixNano()
 		for peer := range p.conns {
-			if peer == p.rank || p.conns[peer] == nil || p.engine.PeerFailed(peer) {
+			if peer == p.rank || p.conns[peer] == nil || p.engine.PeerError(peer) != nil {
 				continue
 			}
 			if now-p.lastSeen[peer].Load() > int64(suspectAfter) {
@@ -659,9 +658,7 @@ func (p *Proc) SetOpTimeout(d time.Duration) {
 // Failed implements comm.FailureDetector: peers whose connection dropped,
 // whose heartbeats stopped, or that sent garbage, in ascending order.
 func (p *Proc) Failed() []int {
-	failed := p.engine.FailedPeers()
-	sort.Ints(failed)
-	return failed
+	return p.engine.FailedPeers()
 }
 
 // PurgeTags implements comm.Purger.
@@ -825,23 +822,9 @@ func (p *Proc) sendError(to int, err error) error {
 	return err
 }
 
-// sendReq is an eagerly-completed send request: Send returns once the
-// frame is written to the socket (the kernel buffers it), matching the
-// eager-send semantics of the other transports.
-type sendReq struct {
-	n   int
-	err error
-}
-
-func (r *sendReq) Wait() error { return r.err }
-func (r *sendReq) Len() int    { return r.n }
-
-// Test implements comm.Tester: the frame was written at post time.
-func (r *sendReq) Test() (bool, error) { return true, r.err }
-
 // Isend implements comm.Comm. The write happens synchronously (kernel
 // socket buffers provide the eager behaviour), so the returned request is
-// already complete.
+// the shared already-complete one.
 func (p *Proc) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error) {
 	return p.isend(to, tag, buf, time.Duration(p.opTimeout.Load()))
 }
@@ -850,7 +833,7 @@ func (p *Proc) isend(to int, tag comm.Tag, buf []byte, d time.Duration) (comm.Re
 	if err := p.send(to, tag, buf, d); err != nil {
 		return nil, err
 	}
-	return &sendReq{n: len(buf)}, nil
+	return match.Sent, nil
 }
 
 // Irecv implements comm.Comm.
@@ -877,14 +860,10 @@ func (p *Proc) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
 }
 
 func (p *Proc) recv(from int, tag comm.Tag, buf []byte, d time.Duration) (int, error) {
-	req, err := p.irecv(from, tag, buf, d)
-	if err != nil {
+	if err := comm.CheckPeer(p.rank, from, p.size); err != nil {
 		return 0, err
 	}
-	if err := req.Wait(); err != nil {
-		return 0, err
-	}
-	return req.Len(), nil
+	return p.engine.Recv(from, tag, buf, d)
 }
 
 // Close tears down all connections (all stripes).
