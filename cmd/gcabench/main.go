@@ -237,6 +237,11 @@ func runHotpath(out string, cfg bench.Config) {
 		rep.Metrics.MemBW1MiBMBps, rep.Metrics.ShmBW1MiBMBps,
 		rep.Metrics.TCPBW1MiBMBps, rep.Metrics.TCPStripedBW1MiBMBps,
 		rep.StripeCount, rep.NumCPU)
+	fmt.Printf("   exchange 1MiB / 16MiB per direction: mem %.0f / %.0f, shm %.0f / %.0f MB/s; in place / staged: mem %.0f / %.0f, shm %.0f / %.0f msgs\n",
+		rep.Metrics.MemExch1MiBMBps, rep.Metrics.MemExch16MiBMBps,
+		rep.Metrics.ShmExch1MiBMBps, rep.Metrics.ShmExch16MiBMBps,
+		rep.Metrics.MemExchInPlace, rep.Metrics.MemExchStaged,
+		rep.Metrics.ShmExchInPlace, rep.Metrics.ShmExchStaged)
 	fmt.Printf("   stripe speedup: %.2fx at 256KiB, %.2fx at 1MiB; tuned allreduce k=%d\n",
 		rep.StripeSpeedup256KiB, rep.StripeSpeedup1MiB, rep.TunedKAtStripes)
 	fmt.Printf("   wrote %s\n", path)

@@ -54,6 +54,18 @@ type HotpathMetrics struct {
 	TCPBW1MiBMBps          float64 `json:"tcp_bw_1mib_mbps"`
 	TCPStripedBW256KiBMBps float64 `json:"tcp_striped_bw_256kib_mbps"`
 	TCPStripedBW1MiBMBps   float64 `json:"tcp_striped_bw_1mib_mbps"`
+	// Pairwise exchange (p=2, both ranks in comm.SendRecv at once, best-of-N):
+	// MB/s per direction, and how the exchanged messages reached their
+	// receives — filled in place or staged through the pool — summed over
+	// both ranks and every run of the row.
+	MemExch1MiBMBps  float64 `json:"mem_exchange_1mib_mbps"`
+	MemExch16MiBMBps float64 `json:"mem_exchange_16mib_mbps"`
+	ShmExch1MiBMBps  float64 `json:"shm_exchange_1mib_mbps"`
+	ShmExch16MiBMBps float64 `json:"shm_exchange_16mib_mbps"`
+	MemExchInPlace   float64 `json:"mem_exchange_inplace_msgs"`
+	MemExchStaged    float64 `json:"mem_exchange_staged_msgs"`
+	ShmExchInPlace   float64 `json:"shm_exchange_inplace_msgs"`
+	ShmExchStaged    float64 `json:"shm_exchange_staged_msgs"`
 }
 
 // HotpathReport is the machine-readable result (BENCH_hotpath.json).
@@ -167,17 +179,34 @@ func genericSumF64(dst, src []byte) {
 	}
 }
 
-// measureReducer returns MB/s for repeatedly applying fn to n-byte buffers.
-func measureReducer(n, iters int, fn func(dst, src []byte)) float64 {
+// reducerRounds is how many interleaved passes measureReducers takes the
+// best of.
+const reducerRounds = 5
+
+// measureReducers returns each kernel's MB/s over n-byte buffers. The
+// kernels are timed interleaved — one pass of iters applications of each,
+// reducerRounds times over — and every kernel keeps its best pass, the
+// transport ladder's protocol: a scheduler hiccup or a frequency step then
+// lands on one pass of one kernel instead of deciding the ratio between
+// two kernels timed once each, back to back (which failed the 2x gate one
+// -quick run in three).
+func measureReducers(n, iters int, fns ...func(dst, src []byte)) []float64 {
 	dst := make([]byte, n)
 	src := make([]byte, n)
-	fn(dst, src) // warmup
-	t0 := time.Now()
-	for i := 0; i < iters; i++ {
-		fn(dst, src)
+	best := make([]float64, len(fns))
+	for round := 0; round < reducerRounds; round++ {
+		for k, fn := range fns {
+			fn(dst, src) // warmup: this kernel's code and the buffers in cache
+			t0 := time.Now()
+			for i := 0; i < iters; i++ {
+				fn(dst, src)
+			}
+			if bw := float64(n) * float64(iters) / time.Since(t0).Seconds() / 1e6; bw > best[k] {
+				best[k] = bw
+			}
+		}
 	}
-	sec := time.Since(t0).Seconds()
-	return float64(n) * float64(iters) / sec / 1e6
+	return best
 }
 
 // Hotpath runs the hot-path microbenchmarks and applies the regression
@@ -185,29 +214,27 @@ func measureReducer(n, iters int, fn func(dst, src []byte)) float64 {
 // baseline comparison but still gates the live ratios).
 func (cfg Config) Hotpath(baselinePath string) (*HotpathReport, error) {
 	const p, collBytes, reducerBytes = 8, 4 << 10, 1 << 20
-	collIters, redIters := 2000, 300
+	collIters, redIters := 2000, 60
 	if cfg.Quick {
-		collIters, redIters = 200, 50
+		collIters, redIters = 200, 10
 	}
 
 	rep := &HotpathReport{
 		ID: "hotpath",
-		Caption: fmt.Sprintf("hot-path wall-clock microbenchmarks: %d B reducer kernels, %d B collectives on mem, p=%d; transport streaming bandwidth mem/shm/tcp/striped-tcp",
+		Caption: fmt.Sprintf("hot-path wall-clock microbenchmarks: %d B reducer kernels, %d B collectives on mem, p=%d; transport streaming bandwidth mem/shm/tcp/striped-tcp and pairwise exchange mem/shm",
 			reducerBytes, collBytes, p),
 		P: p,
 	}
 
-	rep.Metrics.ReducerSumF64MBps = measureReducer(reducerBytes, redIters, func(dst, src []byte) {
-		if err := datatype.Apply(datatype.Sum, datatype.Float64, dst, src); err != nil {
-			panic(err)
+	apply := func(t datatype.Type) func(dst, src []byte) {
+		return func(dst, src []byte) {
+			if err := datatype.Apply(datatype.Sum, t, dst, src); err != nil {
+				panic(err)
+			}
 		}
-	})
-	rep.Metrics.ReducerSumI32MBps = measureReducer(reducerBytes, redIters, func(dst, src []byte) {
-		if err := datatype.Apply(datatype.Sum, datatype.Int32, dst, src); err != nil {
-			panic(err)
-		}
-	})
-	rep.Metrics.ReducerGenericF64MBps = measureReducer(reducerBytes, redIters, genericSumF64)
+	}
+	red := measureReducers(reducerBytes, redIters, apply(datatype.Float64), apply(datatype.Int32), genericSumF64)
+	rep.Metrics.ReducerSumF64MBps, rep.Metrics.ReducerSumI32MBps, rep.Metrics.ReducerGenericF64MBps = red[0], red[1], red[2]
 	rep.SpeedupVsGeneric = rep.Metrics.ReducerSumF64MBps / rep.Metrics.ReducerGenericF64MBps
 
 	w := mem.NewWorld(p)

@@ -9,6 +9,7 @@ import (
 	"exacoll/internal/comm"
 	"exacoll/internal/core"
 	"exacoll/internal/machine"
+	"exacoll/internal/transport/match"
 	"exacoll/internal/transport/mem"
 	"exacoll/internal/transport/shm"
 	"exacoll/internal/transport/tcp"
@@ -67,6 +68,55 @@ func streamBW(c0, c1 comm.Comm, msgBytes, iters int) (float64, error) {
 		return 0, err
 	}
 	return float64(msgBytes) * float64(iters) / elapsed.Seconds() / 1e6, nil
+}
+
+// exchangeBW has both ranks exchange iters msgBytes-sized messages with
+// comm.SendRecv — the primitive of every pairwise-exchange collective —
+// and returns MB/s per direction as rank 0 sees it, after one warmup
+// exchange.
+func exchangeBW(c0, c1 comm.Comm, msgBytes, iters int) (float64, error) {
+	errc := make(chan error, 1)
+	exchange := func(c comm.Comm, n int) error {
+		sbuf := make([]byte, msgBytes)
+		rbuf := make([]byte, msgBytes)
+		for i := 0; i < n; i++ {
+			if _, err := comm.SendRecv(c, 1-c.Rank(), sbuf, 1-c.Rank(), rbuf, bwTag); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	go func() { errc <- exchange(c1, 1+iters) }()
+	if err := exchange(c0, 1); err != nil {
+		return 0, err
+	}
+	t0 := time.Now()
+	if err := exchange(c0, iters); err != nil {
+		return 0, err
+	}
+	elapsed := time.Since(t0)
+	if err := <-errc; err != nil {
+		return 0, err
+	}
+	return float64(msgBytes) * float64(iters) / elapsed.Seconds() / 1e6, nil
+}
+
+// deliveryCounter is what the mem, shm and tcp handles expose of their
+// matcher's in-place/staged accounting.
+type deliveryCounter interface {
+	DeliveryStats() (inPlace, staged match.Deliveries)
+}
+
+// pairExchange measures exchangeBW over a fresh two-rank world and adds
+// how its messages were delivered to the two counters.
+func pairExchange(c0, c1 comm.Comm, msgBytes, iters int, inPlace, staged *float64) (float64, error) {
+	bw, err := exchangeBW(c0, c1, msgBytes, iters)
+	for _, c := range []comm.Comm{c0, c1} {
+		ip, st := c.(deliveryCounter).DeliveryStats()
+		*inPlace += float64(ip.Msgs)
+		*staged += float64(st.Msgs)
+	}
+	return bw, err
 }
 
 // bestOf returns the maximum bandwidth over runs invocations of measure.
@@ -133,10 +183,13 @@ func tcpPairBW(opts tcp.Options, msgBytes, iters int) (float64, int, error) {
 	return bw, loc.Ports, nil
 }
 
-// shmPairBW measures the shared-memory transport with rings sized so the
-// payload streams through the big ring in a few refills.
+// bwShmOptions sizes the rings so a payload streams through the big ring in
+// a few refills (the sizes cmd/gcarun uses).
+var bwShmOptions = shm.Options{RingBytes: 256 << 10, BigBytes: 4 << 20}
+
+// shmPairBW measures the shared-memory transport's one-way stream.
 func shmPairBW(msgBytes, iters int) (float64, error) {
-	w := shm.NewWorldOpts(2, shm.Options{RingBytes: 256 << 10, BigBytes: 4 << 20})
+	w := shm.NewWorldOpts(2, bwShmOptions)
 	defer w.Close()
 	return streamBW(w.Comm(0), w.Comm(1), msgBytes, iters)
 }
@@ -149,14 +202,15 @@ func memPairBW(msgBytes, iters int) (float64, error) {
 	return streamBW(w.Comm(0), w.Comm(1), msgBytes, iters)
 }
 
-// measureTransportBW fills the transport-bandwidth metrics and the
-// striping derivatives (speedups, tuned radix) on rep.
+// measureTransportBW fills the transport-bandwidth metrics, the pairwise
+// exchange rows and the striping derivatives (speedups, tuned radix) on
+// rep.
 func (cfg Config) measureTransportBW(rep *HotpathReport) error {
 	const stripes = 4
-	const big, mid = 1 << 20, 256 << 10
-	runs, bigIters, midIters := 3, 48, 96
+	const huge, big, mid = 16 << 20, 1 << 20, 256 << 10
+	runs, hugeIters, bigIters, midIters := 3, 8, 48, 96
 	if cfg.Quick {
-		runs, bigIters, midIters = 2, 12, 24
+		runs, hugeIters, bigIters, midIters = 2, 3, 12, 24
 	}
 	single := tcp.Options{Timeout: 30 * time.Second}
 	striped := tcp.Options{Timeout: 30 * time.Second, Stripes: stripes, StripeThreshold: 64 << 10}
@@ -169,6 +223,31 @@ func (cfg Config) measureTransportBW(rep *HotpathReport) error {
 	rep.Metrics.ShmBW1MiBMBps, err = bestOf(runs, func() (float64, error) { return shmPairBW(big, bigIters) })
 	if err != nil {
 		return fmt.Errorf("shm bw: %w", err)
+	}
+	m := &rep.Metrics
+	for _, row := range []struct {
+		out          *float64
+		shm          bool
+		bytes, iters int
+	}{
+		{&m.MemExch1MiBMBps, false, big, bigIters},
+		{&m.MemExch16MiBMBps, false, huge, hugeIters},
+		{&m.ShmExch1MiBMBps, true, big, bigIters},
+		{&m.ShmExch16MiBMBps, true, huge, hugeIters},
+	} {
+		*row.out, err = bestOf(runs, func() (float64, error) {
+			if row.shm {
+				w := shm.NewWorldOpts(2, bwShmOptions)
+				defer w.Close()
+				return pairExchange(w.Comm(0), w.Comm(1), row.bytes, row.iters, &m.ShmExchInPlace, &m.ShmExchStaged)
+			}
+			w := mem.NewWorld(2)
+			defer w.Close()
+			return pairExchange(w.Comm(0), w.Comm(1), row.bytes, row.iters, &m.MemExchInPlace, &m.MemExchStaged)
+		})
+		if err != nil {
+			return fmt.Errorf("exchange %d bytes (shm %v): %w", row.bytes, row.shm, err)
+		}
 	}
 	rep.Metrics.TCPBW256KiBMBps, err = bestOf(runs, func() (float64, error) {
 		bw, _, err := tcpPairBW(single, mid, midIters)

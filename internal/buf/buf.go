@@ -11,7 +11,14 @@
 // not sync.Pool, which would box the slice header into an interface and
 // cost one allocation per Put, defeating the purpose on the small-message
 // path. The per-class retention cap bounds pinned memory and returns the
-// excess to the GC.
+// excess to the GC: a class keeps 4 MiB worth of buffers (retainBytes) but
+// at least 8 (retainMin) — one for every rank of an eight-rank in-process
+// world, so that a large-message collective whose ranks each take one
+// scratch buffer of a 1–16 MiB class gets all of them back from the pool
+// the next time instead of re-making and re-zeroing them. Total pinned
+// memory is therefore capped at 14 classes · 4 MiB + 8 · (1+2+4+8+16) MiB
+// = 304 MiB, reached only by a process that has used every class that
+// heavily.
 //
 // Ownership rules:
 //   - Get(n) returns a buffer of length n with UNDEFINED contents. Callers
@@ -39,9 +46,9 @@ const (
 	// retainBytes bounds the memory each class may pin on its free list.
 	// Small classes keep many buffers, large classes only a couple.
 	retainBytes = 4 << 20
-	// retainMin keeps at least a few buffers per class even when the
-	// class size exceeds retainBytes.
-	retainMin = 2
+	// retainMin keeps at least this many buffers per class even when the
+	// class size exceeds retainBytes / retainMin.
+	retainMin = 8
 )
 
 type class struct {
@@ -67,7 +74,10 @@ var classes = func() []*class {
 // came from (or return to) a free list. Their difference is the number of
 // buffers currently owned by callers, so leak tests can assert it returns
 // to a baseline.
-var gets, puts atomic.Uint64
+//
+// fresh counts the Gets no free list could serve, which therefore
+// allocated (and zeroed) new memory.
+var gets, puts, fresh atomic.Uint64
 
 // PoolStats is a snapshot of the pool's ownership counters.
 type PoolStats struct {
@@ -76,6 +86,9 @@ type PoolStats struct {
 	// Puts counts Put calls that returned a non-empty buffer (including
 	// buffers the pool then dropped for being off-class).
 	Puts uint64
+	// Fresh counts the Gets served by a new allocation rather than a
+	// free list: 0 over an interval means the pool covered its load.
+	Fresh uint64
 }
 
 // Outstanding is the number of buffers currently held by callers.
@@ -84,7 +97,7 @@ func (s PoolStats) Outstanding() uint64 { return s.Gets - s.Puts }
 // Stats returns the current ownership counters. The snapshot is only
 // meaningfully quiescent when no collective is in flight.
 func Stats() PoolStats {
-	return PoolStats{Gets: gets.Load(), Puts: puts.Load()}
+	return PoolStats{Gets: gets.Load(), Puts: puts.Load(), Fresh: fresh.Load()}
 }
 
 // classIndex returns the index of the smallest class holding n bytes, or
@@ -110,6 +123,7 @@ func Get(n int) []byte {
 	gets.Add(1)
 	ci := classIndex(n)
 	if ci < 0 {
+		fresh.Add(1)
 		return make([]byte, n)
 	}
 	c := classes[ci]
@@ -122,6 +136,7 @@ func Get(n int) []byte {
 		return b[:n]
 	}
 	c.mu.Unlock()
+	fresh.Add(1)
 	return make([]byte, n, 1<<(uint(ci)+minBits))
 }
 

@@ -1,6 +1,7 @@
 package buf
 
 import (
+	"sync"
 	"testing"
 )
 
@@ -157,5 +158,38 @@ func TestConcurrentGetPut(t *testing.T) {
 	}
 	for g := 0; g < 8; g++ {
 		<-done
+	}
+}
+
+// TestLargeClassSteadyState: p ranks that each cycle one buffer of a large
+// class — the scratch of a large-message collective on an in-process world
+// — are served from the free list once it is warm: the step-after-step
+// re-make (and re-zero) of multi-MiB buffers is gone. With the old
+// two-buffer floor this counted p-2 fresh allocations per round.
+func TestLargeClassSteadyState(t *testing.T) {
+	defer Drain()
+	Drain()
+	const p, n = 8, 8 << 20
+	round := func() {
+		bufs := make([][]byte, p)
+		var wg sync.WaitGroup
+		for r := range bufs {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				bufs[r] = Get(n)
+			}(r)
+		}
+		wg.Wait() // all p are held at once, as during a collective
+		for _, b := range bufs {
+			Put(b)
+		}
+	}
+	round()
+	before := Stats().Fresh
+	round()
+	round()
+	if got := Stats().Fresh - before; got != 0 {
+		t.Errorf("%d ranks cycling %d MiB buffers: %d fresh allocations after warm-up, want 0", p, n>>20, got)
 	}
 }

@@ -408,20 +408,28 @@ func WaitAll(reqs ...Request) error {
 	return errors.Join(errs...)
 }
 
-// SendRecver is an optional interface for communicators that handle the
-// whole SendRecv exchange in one call. The flight recorder's wrapper uses
-// it to amortize one clock read across the exchange's trace events — the
-// difference between <3% and ~10% overhead on the recursive-doubling
-// hot path, where SendRecv is the only communication primitive.
+// SendRecver is the capability of handling the whole SendRecv exchange in
+// one call. The mem, shm and tcp transports implement it receive-first
+// through the shared matcher (match.Engine.Exchange): the receive is
+// posted before the send runs, so the partner's message is written
+// straight into recvBuf instead of being staged, and a failed send
+// withdraws the posted receive — recvBuf is never written after SendRecv
+// returns. Every wrapper forwards it (translate or account, then SendRecv
+// on the wrapped communicator), so the guarantee survives any stack; the
+// flight recorder's wrapper additionally amortizes one clock read across
+// the exchange's trace events.
 type SendRecver interface {
 	SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag Tag) (int, error)
 }
 
-// SendRecv performs a simultaneous exchange: a nonblocking send of sendBuf
-// to `to` and a receive of recvBuf from `from`, both with tag `tag`. This is
-// the MPI_Sendrecv idiom used by ring and pairwise-exchange algorithms;
-// using Isend avoids the head-to-head deadlock of two blocking sends on
-// rendezvous transports.
+// SendRecv performs a simultaneous exchange: a send of sendBuf to `to` and
+// a receive of recvBuf from `from`, both with tag `tag` — the MPI_Sendrecv
+// idiom used by ring and pairwise-exchange algorithms. A SendRecver does it
+// natively. The fallback for any other communicator sends first and then
+// receives: without a way to withdraw a posted receive it cannot safely
+// post first (a failed send would leave a receive behind that a late
+// message could still write through), and Isend rather than Send avoids the
+// head-to-head deadlock of two blocking sends on rendezvous transports.
 func SendRecv(c Comm, to int, sendBuf []byte, from int, recvBuf []byte, tag Tag) (int, error) {
 	if sr, ok := c.(SendRecver); ok {
 		return sr.SendRecv(to, sendBuf, from, recvBuf, tag)

@@ -15,9 +15,12 @@ import "time"
 // answer: Now 0 with HasClock false (so VirtualClock reports no clock),
 // SetOpTimeout and PurgeTags no-ops, Failed nil, Locality unknown.
 //
-// Forward deliberately does not implement SendRecver: the package-level
-// SendRecv then falls back to the wrapper's own Isend and Recv, which is
-// what a wrapper that observes or translates traffic needs.
+// Forward deliberately does not implement SendRecver: an exchange is data
+// path, so each wrapper writes its own SendRecv beside its Send and Recv —
+// translate or account, then SendRecv(inner, ...) — which keeps the
+// transport's receive-first exchange reachable under any stack. A wrapper
+// without one still works: the package-level SendRecv falls back to the
+// wrapper's own Isend and Recv.
 type Forward struct {
 	inner     Comm
 	clock     Clock // nil unless a virtual clock genuinely exists beneath

@@ -145,8 +145,8 @@ func (n *Namespace) Irecv(from int, tag Tag, buf []byte) (Request, error) {
 	return n.inner.Irecv(from, t, buf)
 }
 
-// SendRecv forwards the one-call exchange when the shared transport
-// supports it (the flight recorder's fast path), with the tag translated.
+// SendRecv implements SendRecver: the tag translated, then the shared
+// transport's exchange (its native one when it has one).
 func (n *Namespace) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag Tag) (int, error) {
 	t, err := n.xlate(tag)
 	if err != nil {

@@ -12,9 +12,9 @@ import (
 // communicator, so sub-communicator traffic between the same pair shares
 // the parent's per-(source, tag) FIFO ordering.
 //
-// Capabilities come from the embedded Forward; only the two that speak in
-// ranks (Failed, Locality) are translated here. Tag windows are shared
-// with the parent, so PurgeTags needs no translation.
+// Capabilities come from the embedded Forward; only those that speak in
+// ranks (Failed, Locality, SendRecv) are translated here. Tag windows are
+// shared with the parent, so PurgeTags needs no translation.
 type SubComm struct {
 	Forward
 	ranks []int // dense index -> parent rank, strictly ascending
@@ -98,6 +98,20 @@ func (s *SubComm) Irecv(from int, tag Tag, buf []byte) (Request, error) {
 		return nil, err
 	}
 	return s.inner.Irecv(r, tag, buf)
+}
+
+// SendRecv implements SendRecver: both ranks translated, then the
+// parent's exchange (its native one when it has one).
+func (s *SubComm) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag Tag) (int, error) {
+	t, err := s.translate(to)
+	if err != nil {
+		return 0, err
+	}
+	f, err := s.translate(from)
+	if err != nil {
+		return 0, err
+	}
+	return SendRecv(s.inner, t, sendBuf, f, recvBuf, tag)
 }
 
 // Failed translates the parent's failed ranks into sub-communicator

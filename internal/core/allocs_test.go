@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	scratch "exacoll/internal/buf"
@@ -165,5 +166,56 @@ func TestSegmentedAllocsBounded(t *testing.T) {
 	}
 	if avg := measureAllocs(t, lw, fns); avg > 7000 {
 		t.Errorf("pipelined allreduce: %.1f allocs per collective, want <= 7000", avg)
+	}
+}
+
+// TestHalvingLargeAllocs pins the memory discipline of the large-message
+// reduce-scatter family: once the pool holds what one collective can have
+// out at a time, a 16 MiB allreduce_rabenseifner on p=4 takes nothing fresh
+// from it and allocates next to nothing at all. Its scratch is the largest
+// block received into it — n/4 on this out-of-place path, where the old
+// code took a zeroed n-byte buffer per rank per call — and the pool
+// retains enough large buffers to hand every rank's back.
+func TestHalvingLargeAllocs(t *testing.T) {
+	skipIfPoisoning(t)
+	const p, n = 4, 16 << 20
+	defer scratch.Drain()
+	// What a rank can have out at once: its n/4 scratch, and messages
+	// staged because they arrived before their receive was posted — n/2
+	// or n/4 bytes, from this round's partner and a fast next one.
+	var warm [][]byte
+	for r := 0; r < p; r++ {
+		warm = append(warm, scratch.Get(n/4), scratch.Get(n/4), scratch.Get(n/2), scratch.Get(n/2))
+	}
+	for _, b := range warm {
+		scratch.Put(b)
+	}
+	lw := newLockstep(p)
+	fns := make([]func(c comm.Comm) error, p)
+	for r := 0; r < p; r++ {
+		sb := make([]byte, n)
+		rb := make([]byte, n)
+		fns[r] = func(c comm.Comm) error {
+			return AllreduceRabenseifner(c, sb, rb, datatype.Sum, datatype.Float64)
+		}
+	}
+	if err := lw.run(fns); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fresh := scratch.Stats().Fresh
+	for i := 0; i < runs; i++ {
+		if err := lw.run(fns); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := scratch.Stats().Fresh - fresh; got != 0 {
+		t.Errorf("%d fresh pool allocations over %d warm collectives, want 0", got, runs)
+	}
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > n/2 {
+		t.Errorf("%d bytes allocated per collective, want far below the %d-byte vector", perRun, n)
 	}
 }

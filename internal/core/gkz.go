@@ -62,11 +62,6 @@ func AllreduceGeneralizedKZ(c comm.Comm, sendbuf, recvbuf []byte, op datatype.Op
 
 	if p2 > 1 {
 		layout := FairLayoutAligned(n, p2, dt.Size())
-		rangeOf := func(base, count int) (lo, hi int) {
-			lo, _ = layout(base)
-			off, sz := layout(base + count - 1)
-			return lo, off + sz
-		}
 		// Reduce-scatter by base-k digit, most significant first: each
 		// round narrows the active block range [lo, lo+k·dist) to the
 		// sub-range holding our own block, sending our partials of the
@@ -76,7 +71,7 @@ func AllreduceGeneralizedKZ(c comm.Comm, sendbuf, recvbuf []byte, op datatype.Op
 		staging := make([][]byte, 0, k-1)
 		for dist := p2 / k; dist >= 1; dist /= k {
 			d := (r - lo) / dist // my digit: which sub-range I keep
-			keepLo, keepHi := rangeOf(lo+d*dist, dist)
+			keepLo, keepHi := blockRange(layout, lo+d*dist, dist)
 			keepSz := keepHi - keepLo
 			reqs = reqs[:0]
 			staging = staging[:0]
@@ -103,7 +98,7 @@ func AllreduceGeneralizedKZ(c comm.Comm, sendbuf, recvbuf []byte, op datatype.Op
 					continue
 				}
 				partner := lo + j*dist + (r-lo)%dist
-				sLo, sHi := rangeOf(lo+j*dist, dist)
+				sLo, sHi := blockRange(layout, lo+j*dist, dist)
 				req, err := c.Isend(partner, tagGKZ+1, recvbuf[sLo:sHi])
 				if err != nil {
 					return err // posted receives still target staging: leak
@@ -128,7 +123,7 @@ func AllreduceGeneralizedKZ(c comm.Comm, sendbuf, recvbuf []byte, op datatype.Op
 		for dist := 1; dist < p2; dist *= k {
 			glo := r - r%(dist*k)
 			base := r - r%dist
-			myLo, myHi := rangeOf(base, dist)
+			myLo, myHi := blockRange(layout, base, dist)
 			reqs = reqs[:0]
 			for j := 0; j < k; j++ {
 				peerBase := glo + j*dist
@@ -136,7 +131,7 @@ func AllreduceGeneralizedKZ(c comm.Comm, sendbuf, recvbuf []byte, op datatype.Op
 					continue
 				}
 				partner := peerBase + r%dist
-				pLo, pHi := rangeOf(peerBase, dist)
+				pLo, pHi := blockRange(layout, peerBase, dist)
 				req, err := c.Irecv(partner, tagGKZ+1, recvbuf[pLo:pHi])
 				if err != nil {
 					// Earlier posts still target recvbuf; settling can

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"unsafe"
 
 	scratch "exacoll/internal/buf"
 	"exacoll/internal/comm"
@@ -28,17 +29,10 @@ func recdblAllgatherLayout(c comm.Comm, buf []byte, layout BlockLayout, tag comm
 		return fmt.Errorf("%w: p=%d", ErrPow2Only, p)
 	}
 	r := c.Rank()
-	rangeOf := func(base, count int) (lo, hi int) {
-		lo, _ = layout(base)
-		off, sz := layout(base + count - 1)
-		return lo, off + sz
-	}
 	for mask := 1; mask < p; mask <<= 1 {
 		partner := r ^ mask
-		myBase := r &^ (mask - 1)
-		paBase := partner &^ (mask - 1)
-		mlo, mhi := rangeOf(myBase, mask)
-		plo, phi := rangeOf(paBase, mask)
+		mlo, mhi := blockRange(layout, r&^(mask-1), mask)
+		plo, phi := blockRange(layout, partner&^(mask-1), mask)
 		if _, err := comm.SendRecv(c, partner, buf[mlo:mhi], partner, buf[plo:phi], tag); err != nil {
 			return err
 		}
@@ -171,66 +165,119 @@ func AllreduceRecDbl(c comm.Comm, sendbuf, recvbuf []byte, op datatype.Op, dt da
 	return foldPost(c, recvbuf, p2)
 }
 
+// blockRange returns the byte range [lo, hi) that the count ≥ 1 blocks
+// starting at base occupy under layout (blocks lie in ascending id order).
+func blockRange(layout BlockLayout, base, count int) (lo, hi int) {
+	lo, _ = layout(base)
+	off, sz := layout(base + count - 1)
+	return lo, off + sz
+}
+
+// overlaps reports whether a and b share any byte.
+func overlaps(a, b []byte) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	pa, pb := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return pa < pb+uintptr(len(b)) && pb < pa+uintptr(len(a))
+}
+
+// recHalve is the recursive-halving reduce-scatter shared by
+// AllreduceRabenseifner and ReduceScatterRecHalving, over the power-of-two
+// group of p2 ranks that foldPre leaves of a p-rank communicator (me is
+// the caller's rank in the group): each round keeps the half of the active
+// block range holding the caller's own block and trades the other half
+// with the partner 2^i away.
+//
+// Partials accumulate in acc, which stands for vector bytes [accLo,
+// accLo+len(acc)). With mine == nil, acc already holds the caller's
+// contribution. Otherwise the contribution is still the full vector mine,
+// acc's contents are undefined and it need only cover the half kept in
+// round one, which then runs out of place: send from mine, receive
+// straight into acc, reduce mine's kept half into it. That saves copying
+// the vector into acc first, and flips the round's operand order to
+// incoming ⊕ mine — bit-identical for every built-in (commutative) op.
+//
+// Scratch is sized by the bytes received into it — the kept half of the
+// first in-place round, n/2 or n/4 — never by n.
+func recHalve(c comm.Comm, mine, acc []byte, accLo, me, p, p2 int, layout BlockLayout, op datatype.Op, dt datatype.Type) error {
+	var tmp []byte
+	var err error
+	lo, half := 0, p2/2
+	for mask := p2 / 2; mask >= 1 && err == nil; mask >>= 1 {
+		partner := foldReal(me^mask, p, p2)
+		keepLo, sendLo := lo, lo+half
+		if me&mask != 0 {
+			keepLo, sendLo = sendLo, keepLo
+		}
+		sLo, sHi := blockRange(layout, sendLo, half)
+		kLo, kHi := blockRange(layout, keepLo, half)
+		keep := acc[kLo-accLo : kHi-accLo]
+		if mine != nil {
+			if _, err = comm.SendRecv(c, partner, mine[sLo:sHi], partner, keep, tagRabens); err == nil {
+				err = reduceInto(c, op, dt, keep, mine[kLo:kHi])
+			}
+			mine = nil
+		} else {
+			if tmp == nil {
+				tmp = scratch.Get(len(keep))
+			}
+			in := tmp[:len(keep)]
+			if _, err = comm.SendRecv(c, partner, acc[sLo-accLo:sHi-accLo], partner, in, tagRabens); err == nil {
+				err = reduceInto(c, op, dt, keep, in)
+			}
+		}
+		lo, half = keepLo, half/2
+	}
+	// SendRecv settles or withdraws its receive before it returns, so tmp
+	// is quiescent on the error path too.
+	scratch.Put(tmp)
+	return err
+}
+
 // AllreduceRabenseifner is MPICH's large-message allreduce: a
 // recursive-halving reduce-scatter followed by a recursive-doubling
 // allgather (the "reduce-scatter-allgather" algorithm the paper's §VI-C2
 // notes usually wins for large allreduce). Non-power-of-two sizes fold.
+//
+// On a power-of-two communicator with distinct buffers nothing is copied
+// up front: the reduce-scatter's first round reads sendbuf and writes
+// recvbuf (see recHalve), and the half of recvbuf it leaves untouched is
+// overwritten by the allgather.
 func AllreduceRabenseifner(c comm.Comm, sendbuf, recvbuf []byte, op datatype.Op, dt datatype.Type) error {
 	if err := checkReduceBufs(sendbuf, recvbuf, dt); err != nil {
 		return err
 	}
 	p := c.Size()
 	n := len(sendbuf)
-	copy(recvbuf, sendbuf)
 	if p == 1 {
+		copy(recvbuf, sendbuf)
 		return nil
 	}
 	p2 := 1 << ilog(2, p)
+	mine := sendbuf
+	if p2 < p || overlaps(sendbuf, recvbuf) {
+		// foldPre accumulates into recvbuf, and an in-place call's sent
+		// half must survive the receive: both start from a copy.
+		copy(recvbuf, sendbuf)
+		mine = nil
+	}
 	newrank, err := foldPre(c, recvbuf, op, dt, p2)
 	if err != nil {
 		return err
 	}
 	if newrank >= 0 {
 		layout := FairLayoutAligned(n, p2, dt.Size())
-		rangeOf := func(base, count int) (lo, hi int) {
-			lo, _ = layout(base)
-			off, sz := layout(base + count - 1)
-			return lo, off + sz
-		}
-		// Recursive-halving reduce-scatter: each round keeps the half of
-		// the active block range containing our own block and sends the
-		// other half to the partner.
-		lo, hi := 0, p2
-		tmp := scratch.Get(n)
-		defer scratch.Put(tmp)
-		for mask := p2 / 2; mask >= 1; mask >>= 1 {
-			partner := foldReal(newrank^mask, p, p2)
-			mid := (lo + hi) / 2
-			var keepLo, keepHi, sendLo, sendHi int
-			if newrank&mask == 0 {
-				keepLo, keepHi, sendLo, sendHi = lo, mid, mid, hi
-			} else {
-				keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
-			}
-			sByteLo, sByteHi := rangeOf(sendLo, sendHi-sendLo)
-			kByteLo, kByteHi := rangeOf(keepLo, keepHi-keepLo)
-			if _, err := comm.SendRecv(c, partner, recvbuf[sByteLo:sByteHi], partner, tmp[kByteLo:kByteHi], tagRabens); err != nil {
-				return err
-			}
-			if err := reduceInto(c, op, dt, recvbuf[kByteLo:kByteHi], tmp[kByteLo:kByteHi]); err != nil {
-				return err
-			}
-			lo, hi = keepLo, keepHi
+		if err := recHalve(c, mine, recvbuf, 0, newrank, p, p2, layout, op, dt); err != nil {
+			return err
 		}
 		// Recursive-doubling allgather over the reduced blocks. Blocks are
 		// keyed by newrank; exchanges translate newranks to real ranks.
 		for mask := 1; mask < p2; mask <<= 1 {
 			partner := foldReal(newrank^mask, p, p2)
-			myBase := newrank &^ (mask - 1)
-			paBase := (newrank ^ mask) &^ (mask - 1)
-			mByteLo, mByteHi := rangeOf(myBase, mask)
-			pByteLo, pByteHi := rangeOf(paBase, mask)
-			if _, err := comm.SendRecv(c, partner, recvbuf[mByteLo:mByteHi], partner, recvbuf[pByteLo:pByteHi], tagRabens); err != nil {
+			mLo, mHi := blockRange(layout, newrank&^(mask-1), mask)
+			pLo, pHi := blockRange(layout, (newrank^mask)&^(mask-1), mask)
+			if _, err := comm.SendRecv(c, partner, recvbuf[mLo:mHi], partner, recvbuf[pLo:pHi], tagRabens); err != nil {
 				return err
 			}
 		}
@@ -254,40 +301,32 @@ func ReduceScatterRecHalving(c comm.Comm, sendbuf, recvbuf []byte, op datatype.O
 	if len(recvbuf) != sz {
 		return fmt.Errorf("%w: reduce-scatter recvbuf=%d want %d", ErrBadBuffer, len(recvbuf), sz)
 	}
-	work := scratch.Get(n)
-	defer scratch.Put(work)
-	copy(work, sendbuf)
 	if p == 1 {
-		copy(recvbuf, work)
+		copy(recvbuf, sendbuf)
 		return nil
 	}
-	rangeOf := func(base, count int) (lo, hi int) {
-		lo, _ = layout(base)
-		boff, bsz := layout(base + count - 1)
-		return lo, boff + bsz
+	// Partials accumulate in the half of the vector kept in round one,
+	// which for p = 2 is the caller's own block: recvbuf itself. A recvbuf
+	// carved out of sendbuf takes a private copy of the whole vector.
+	mine := sendbuf
+	accLo, accHi := blockRange(layout, r&(p/2), p/2)
+	if overlaps(sendbuf, recvbuf) {
+		mine, accLo, accHi = nil, 0, n
 	}
-	tmp := scratch.Get(n)
-	defer scratch.Put(tmp)
-	lo, hi := 0, p
-	for mask := p / 2; mask >= 1; mask >>= 1 {
-		partner := r ^ mask
-		mid := (lo + hi) / 2
-		var keepLo, keepHi, sendLo, sendHi int
-		if r&mask == 0 {
-			keepLo, keepHi, sendLo, sendHi = lo, mid, mid, hi
-		} else {
-			keepLo, keepHi, sendLo, sendHi = mid, hi, lo, mid
-		}
-		sLo, sHi := rangeOf(sendLo, sendHi-sendLo)
-		kLo, kHi := rangeOf(keepLo, keepHi-keepLo)
-		if _, err := comm.SendRecv(c, partner, work[sLo:sHi], partner, tmp[kLo:kHi], tagRabens); err != nil {
-			return err
-		}
-		if err := reduceInto(c, op, dt, work[kLo:kHi], tmp[kLo:kHi]); err != nil {
-			return err
-		}
-		lo, hi = keepLo, keepHi
+	acc := recvbuf
+	private := mine == nil || p > 2
+	if private {
+		acc = scratch.Get(accHi - accLo)
+		defer scratch.Put(acc)
 	}
-	copy(recvbuf, work[off:off+sz])
+	if mine == nil {
+		copy(acc, sendbuf)
+	}
+	if err := recHalve(c, mine, acc, accLo, r, p, p, layout, op, dt); err != nil {
+		return err
+	}
+	if private {
+		copy(recvbuf, acc[off-accLo:off-accLo+sz])
+	}
 	return nil
 }

@@ -416,6 +416,11 @@ func (m *Member) Irecv(from int, tag comm.Tag, buf []byte) (comm.Request, error)
 	return m.cur().Irecv(from, tag, buf)
 }
 
+// SendRecv implements comm.SendRecver.
+func (m *Member) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag comm.Tag) (int, error) {
+	return m.cur().SendRecv(to, sendBuf, from, recvBuf, tag)
+}
+
 // SetOpTimeout implements comm.Deadliner on the current endpoint. The
 // setting does not survive Regroup (a fresh epoch starts unbounded, like
 // a fresh world); fault-tolerant sessions re-apply their timeout when

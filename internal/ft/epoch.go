@@ -68,6 +68,11 @@ func (ec *EpochComm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
 	return ec.Unwrap().Recv(from, ec.xlate(tag), buf)
 }
 
+// SendRecv implements comm.SendRecver.
+func (ec *EpochComm) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag comm.Tag) (int, error) {
+	return comm.SendRecv(ec.Unwrap(), to, sendBuf, from, recvBuf, ec.xlate(tag))
+}
+
 // Isend implements comm.Comm.
 func (ec *EpochComm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error) {
 	return ec.Unwrap().Isend(to, ec.xlate(tag), buf)

@@ -99,6 +99,25 @@ func (m *Comm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
 	return n, nil
 }
 
+// SendRecv implements comm.SendRecver: one exchange counts as one send and
+// one receive, its whole blocking duration goes to the wait histogram, and
+// a failed exchange — which does not say which half failed — counts as one
+// receive error.
+func (m *Comm) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag comm.Tag) (int, error) {
+	v0, t0 := m.waitStart()
+	n, err := comm.SendRecv(m.Unwrap(), to, sendBuf, from, recvBuf, tag)
+	if err != nil {
+		m.rc.recvErrors.Add(1)
+		return n, err
+	}
+	m.rc.wait.Observe(m.waitNanos(v0, t0))
+	m.rc.sends.Add(1)
+	m.rc.sendBytes.Add(uint64(len(sendBuf)))
+	m.rc.recvs.Add(1)
+	m.rc.recvBytes.Add(uint64(n))
+	return n, nil
+}
+
 // Isend implements comm.Comm. Sends are counted at post time (the layer
 // below buffers eagerly), so the substrate's request is returned as-is.
 func (m *Comm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error) {

@@ -376,6 +376,16 @@ func (l *levelComm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error
 	return req, nil
 }
 
+// SendRecv implements comm.SendRecver.
+func (l *levelComm) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag comm.Tag) (int, error) {
+	n, err := comm.SendRecv(l.Unwrap(), to, sendBuf, from, recvBuf, tag)
+	if err != nil {
+		return n, err
+	}
+	l.reg.HierSend(l.rank, l.intra, len(sendBuf))
+	return n, nil
+}
+
 // Recv implements comm.Comm.
 func (l *levelComm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
 	return l.Unwrap().Recv(from, tag, buf)

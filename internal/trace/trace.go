@@ -113,6 +113,18 @@ func (t *tracedComm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
 	return n, err
 }
 
+// SendRecv implements comm.SendRecver: the send stamped when the exchange
+// started, the receive when it completed.
+func (t *tracedComm) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag comm.Tag) (int, error) {
+	t0 := t.Now()
+	n, err := comm.SendRecv(t.Unwrap(), to, sendBuf, from, recvBuf, tag)
+	if err == nil {
+		t.sink.record(Event{Rank: t.Rank(), Kind: KindSend, Peer: to, Tag: tag, Bytes: len(sendBuf), Time: t0})
+		t.sink.record(Event{Rank: t.Rank(), Kind: KindRecv, Peer: from, Tag: tag, Bytes: n, Time: t.Now()})
+	}
+	return n, err
+}
+
 func (t *tracedComm) Isend(to int, tag comm.Tag, buf []byte) (comm.Request, error) {
 	req, err := t.Unwrap().Isend(to, tag, buf)
 	if err != nil {

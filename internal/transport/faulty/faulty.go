@@ -196,6 +196,21 @@ func (f *faultyComm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {
 	return n, err
 }
 
+// SendRecv implements comm.SendRecver with the same two injection points
+// as Isend followed by Recv: the send fault before anything is posted, the
+// receive fault once the exchange has completed.
+func (f *faultyComm) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag comm.Tag) (int, error) {
+	f.delay()
+	if err := f.sendFault(to, tag); err != nil {
+		return 0, err
+	}
+	n, err := comm.SendRecv(f.Unwrap(), to, sendBuf, from, recvBuf, tag)
+	if err == nil {
+		err = f.recvFault(from, tag)
+	}
+	return n, err
+}
+
 func (f *faultyComm) Irecv(from int, tag comm.Tag, buf []byte) (comm.Request, error) {
 	f.delay()
 	req, err := f.Unwrap().Irecv(from, tag, buf)

@@ -17,19 +17,26 @@
 //     afterwards;
 //   - tag-window purge (PurgeTags) and whole-engine poisoning (Fail).
 //
-// Payload buffers handed to Deliver come from the internal/buf pool and
-// are owned by the engine from that point: they are recycled once copied
-// into a posted receive (or dropped at purge/teardown). DeliverTo is the
-// single-copy variant for transports whose payload already lives in
-// addressable memory (the shm rings): when a receive is already posted,
-// the payload is copied exactly once, straight into the user's buffer.
+// One delivery rule holds on every transport: a receive that is already
+// posted when its message arrives is filled in place. Transports deliver
+// through DeliverTo with a fill callback — a copy out of the sender's
+// buffer (mem), out of a shared ring (shm), or io.ReadFull off the socket
+// (unstriped tcp) — which writes straight into the posted buffer: one copy
+// end to end. Only a message that finds no receive is staged in a pooled
+// buffer and parked. Deliver takes an already-assembled pool buffer (tcp's
+// stripe reassembly, and DeliverTo's own staging tail); the engine owns it
+// from that point and recycles it once copied out (or dropped at
+// purge/teardown). Exchange is the blocking pairwise exchange that makes
+// the in-place case the common one: it posts the receive before it runs
+// the send, and withdraws it again if the send fails.
 //
 // Allocation discipline: a posted receive and its comm.Request are one
 // object (*Recv), completion is announced on the engine's condition
-// variable rather than a per-receive channel, the blocking Recv path
-// recycles its receive through a free list (0 allocations), and queues pop
-// by shifting down so each (source, tag) entry keeps its backing array. A
-// timer exists only while a deadline-armed Wait is blocked.
+// variable rather than a per-receive channel, the blocking Recv and
+// Exchange paths recycle their receive through a free list (0
+// allocations), and queues pop by shifting down so each (source, tag)
+// entry keeps its backing array. A timer exists only while a
+// deadline-armed Wait is blocked.
 package match
 
 import (
@@ -52,8 +59,18 @@ type Engine struct {
 	unexpected map[key][][]byte // eager payloads, pool-owned
 	posted     map[key][]*Recv
 	peerErr    map[int]error // sticky per-peer failure
-	free       []*Recv       // settled receives recycled by Recv
+	free       []*Recv       // settled receives recycled by Recv and Exchange
 	closed     error
+
+	inPlace, staged Deliveries // how messages reached their receive
+}
+
+// Deliveries counts messages and their payload bytes.
+type Deliveries struct{ Msgs, Bytes uint64 }
+
+func (d *Deliveries) add(n int) {
+	d.Msgs++
+	d.Bytes += uint64(n)
 }
 
 // key identifies a message stream. The hot paths build it once, before
@@ -140,6 +157,7 @@ func (e *Engine) Deliver(src int, tag comm.Tag, payload []byte) error {
 		scratch.Put(payload)
 		return err
 	}
+	e.staged.add(len(payload))
 	if pr := e.popRecv(k); pr != nil {
 		pr.complete(payload)
 		return nil
@@ -158,11 +176,12 @@ func (e *Engine) failure(src int) error {
 }
 
 // DeliverTo delivers an n-byte message whose payload is produced by read —
-// a callback that must fill exactly its argument (e.g. a copy out of a
-// shared-memory ring). When a matching receive is already posted and large
-// enough, read writes straight into the user's buffer: one copy
-// end-to-end. Otherwise the payload is staged in a pooled buffer and
-// handed to Deliver (which parks it, or fails a too-small receive).
+// a callback that must fill exactly its argument (a copy from the sender's
+// buffer, out of a shared-memory ring, or off a socket). When a matching
+// receive is already posted and large enough, read writes straight into
+// the user's buffer: one copy end-to-end. Otherwise the payload is staged
+// in a pooled buffer and handed to Deliver (which parks it, or fails a
+// too-small receive).
 //
 // The caller must invoke DeliverTo for one source from a single goroutine
 // (the transport's per-peer reader), which preserves FIFO per (source,
@@ -174,6 +193,7 @@ func (e *Engine) DeliverTo(src int, tag comm.Tag, n int, read func(dst []byte) e
 	var pr *Recv
 	if prs := e.posted[*k]; len(prs) > 0 && len(prs[0].buf) >= n {
 		pr = e.popRecv(k)
+		e.inPlace.add(n)
 	}
 	e.mu.Unlock()
 	if pr != nil {
@@ -261,11 +281,49 @@ func (e *Engine) Request(pr *Recv, src int, tag comm.Tag, timeout time.Duration)
 func (e *Engine) Recv(src int, tag comm.Tag, buf []byte, timeout time.Duration) (int, error) {
 	k := &key{src, tag}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	pr, err := e.post(k, buf, true)
 	if err != nil {
-		e.mu.Unlock()
 		return 0, err
 	}
+	return e.await(pr, timeout)
+}
+
+// Exchange is the blocking pairwise exchange every transport's SendRecv is
+// written on: post the receive into buf, run send (the transport's own
+// Send towards the exchange partner), wait for the receive. Because the
+// receive is posted before the send starts, a partner doing the same finds
+// it posted and fills it in place — the single-copy path of DeliverTo —
+// where send-then-receive would park every message of a pairwise exchange
+// on the unexpected queue first.
+//
+// If send fails, its error is returned and the posted receive is withdrawn
+// with Cancel, so buf is never written after Exchange returns; when the
+// cancel loses the race to a delivery already filling buf, that delivery
+// is waited for. Like Recv, the receive never escapes: zero allocations in
+// steady state.
+func (e *Engine) Exchange(src int, tag comm.Tag, buf []byte, timeout time.Duration, send func() error) (int, error) {
+	k := &key{src, tag}
+	e.mu.Lock()
+	pr, err := e.post(k, buf, true)
+	e.mu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	serr := send()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if serr != nil {
+		e.cancel(pr, serr)
+		e.await(pr, timeout)
+		return 0, serr
+	}
+	return e.await(pr, timeout)
+}
+
+// await waits for pr under timeout, returns its result and recycles it.
+// Caller holds e.mu and must not touch pr afterwards.
+func (e *Engine) await(pr *Recv, timeout time.Duration) (int, error) {
 	pr.timeout = timeout
 	pr.waitLocked()
 	n, err := pr.n, pr.err
@@ -275,7 +333,6 @@ func (e *Engine) Recv(src int, tag comm.Tag, buf []byte, timeout time.Duration) 
 		*pr = Recv{}
 		e.free = append(e.free, pr)
 	}
-	e.mu.Unlock()
 	return n, err
 }
 
@@ -329,6 +386,11 @@ func (r *Recv) Test() (bool, error) {
 func (e *Engine) Cancel(pr *Recv, err error) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.cancel(pr, err)
+}
+
+// cancel is Cancel with e.mu held.
+func (e *Engine) cancel(pr *Recv, err error) bool {
 	prs := e.posted[pr.key]
 	for i, q := range prs {
 		if q != pr {
@@ -442,6 +504,17 @@ type sent struct{}
 func (sent) Wait() error         { return nil }
 func (sent) Len() int            { return 0 }
 func (sent) Test() (bool, error) { return true, nil }
+
+// DeliveryStats reports how this engine's inbound messages reached their
+// receives so far: filled in place by DeliverTo (the receive was posted
+// first), or staged through a pooled buffer (parked until a receive was
+// posted, reassembled stripes, or a receive too small to fill). Messages
+// dropped for a failed source or a closed engine count as neither.
+func (e *Engine) DeliveryStats() (inPlace, staged Deliveries) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.inPlace, e.staged
+}
 
 // UnexpectedCount reports how many (source, tag) queues currently hold
 // buffered unexpected messages — a test observability hook.

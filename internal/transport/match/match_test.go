@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -23,17 +24,54 @@ type subject interface {
 	send(tag comm.Tag, payload []byte) error // rank 1 -> rank 0
 	irecv(tag comm.Tag, b []byte, timeout time.Duration) (comm.Request, error)
 	recv(tag comm.Tag, b []byte, timeout time.Duration) (int, error)
-	failPeer() // rank 1 dies
+	// exchange is rank 0's SendRecv with rank 1. A non-nil sendErr makes
+	// its send half fail (the bare engine with exactly that error).
+	exchange(tag comm.Tag, out, in []byte, timeout time.Duration, sendErr error) (int, error)
+	// answer is rank 1's side of one exchange, done by hand: receive rank
+	// 0's message, only then send the reply.
+	answer(tag comm.Tag, reply []byte) error
+	inPlace() uint64 // messages filled in place at rank 0 so far
+	failPeer()       // rank 1 dies
 	purge(lo, hi comm.Tag)
 	fail() // rank 0 itself closes
 }
 
-type engineSubject struct{ e *match.Engine }
+// engineSubject is rank 0's engine, plus rank 1's for the two-sided
+// exchange rows.
+type engineSubject struct{ e, peer *match.Engine }
+
+// deliver is what every transport's Send does: DeliverTo with a fill that
+// produces the payload.
+func deliver(e *match.Engine, src int, tag comm.Tag, payload []byte) error {
+	return e.DeliverTo(src, tag, len(payload), func(dst []byte) error {
+		copy(dst, payload)
+		return nil
+	})
+}
 
 func (s engineSubject) send(tag comm.Tag, payload []byte) error {
-	p := buf.Get(len(payload))
-	copy(p, payload)
-	return s.e.Deliver(1, tag, p)
+	return deliver(s.e, 1, tag, payload)
+}
+
+func (s engineSubject) exchange(tag comm.Tag, out, in []byte, timeout time.Duration, sendErr error) (int, error) {
+	return s.e.Exchange(1, tag, in, timeout, func() error {
+		if sendErr != nil {
+			return sendErr
+		}
+		return deliver(s.peer, 0, tag, out)
+	})
+}
+
+func (s engineSubject) answer(tag comm.Tag, reply []byte) error {
+	if _, err := s.peer.Recv(0, tag, make([]byte, 16), 0); err != nil {
+		return err
+	}
+	return s.send(tag, reply)
+}
+
+func (s engineSubject) inPlace() uint64 {
+	ip, _ := s.e.DeliveryStats()
+	return ip.Msgs
 }
 
 func (s engineSubject) irecv(tag comm.Tag, b []byte, timeout time.Duration) (comm.Request, error) {
@@ -71,6 +109,30 @@ func (s memSubject) recv(tag comm.Tag, b []byte, timeout time.Duration) (int, er
 	return s.c0.Recv(1, tag, b)
 }
 
+// exchange fails its send half by addressing it outside the world.
+func (s memSubject) exchange(tag comm.Tag, out, in []byte, timeout time.Duration, sendErr error) (int, error) {
+	s.c0.(comm.Deadliner).SetOpTimeout(timeout)
+	to := 1
+	if sendErr != nil {
+		to = 2
+	}
+	return s.c0.(comm.SendRecver).SendRecv(to, out, 1, in, tag)
+}
+
+func (s memSubject) answer(tag comm.Tag, reply []byte) error {
+	if _, err := s.c1.Recv(0, tag, make([]byte, 16)); err != nil {
+		return err
+	}
+	return s.c1.Send(0, tag, reply)
+}
+
+func (s memSubject) inPlace() uint64 {
+	ip, _ := s.c0.(interface {
+		DeliveryStats() (inPlace, staged match.Deliveries)
+	}).DeliveryStats()
+	return ip.Msgs
+}
+
 func (s memSubject) failPeer()             { s.w.Kill(1) }
 func (s memSubject) purge(lo, hi comm.Tag) { s.c0.(comm.Purger).PurgeTags(lo, hi) }
 func (s memSubject) fail()                 { s.w.Close() }
@@ -79,7 +141,7 @@ var subjects = []struct {
 	name string
 	make func() subject
 }{
-	{"engine", func() subject { return engineSubject{match.New()} }},
+	{"engine", func() subject { return engineSubject{match.New(), match.New()} }},
 	{"mem", func() subject {
 		w := mem.NewWorld(2)
 		return memSubject{w, w.Comm(0), w.Comm(1)}
@@ -286,6 +348,59 @@ var semanticTable = []struct {
 		mustSend(t, s, 7, "late")
 		mustRecv(t, s, 7, "late")
 	}},
+	{"exchange/receive-posted-before-the-send-is-filled-in-place", func(t *testing.T, s subject) {
+		// Rank 1 replies only after it has rank 0's message, which the
+		// exchange sends only after posting its receive: the reply must be
+		// written straight into the buffer, never staged.
+		answered := make(chan error, 1)
+		go func() { answered <- s.answer(7, []byte("pong")) }()
+		in := make([]byte, 8)
+		n, err := s.exchange(7, []byte("ping"), in, 0, nil)
+		if err != nil || string(in[:n]) != "pong" {
+			t.Fatalf("exchange = %q, %v", in[:n], err)
+		}
+		if err := <-answered; err != nil {
+			t.Fatal(err)
+		}
+		if got := s.inPlace(); got != 1 {
+			t.Errorf("%d messages filled in place, want the exchange's 1", got)
+		}
+	}},
+	{"exchange/send-failure-cancels-the-receive", func(t *testing.T, s subject) {
+		errSend := errors.New("send failed")
+		poison := bytes.Repeat([]byte{0xAA}, 8) // any write shows
+		in := bytes.Clone(poison)
+		_, err := s.exchange(7, []byte("ping"), in, 0, errSend)
+		if _, bare := s.(engineSubject); bare && err != errSend {
+			t.Fatalf("exchange = %v, want the send's error verbatim", err)
+		}
+		if err == nil {
+			t.Fatal("exchange with a failing send succeeded")
+		}
+		// No receive is left behind: the late message is not filled in
+		// place but parks, and a fresh receive gets it.
+		mustSend(t, s, 7, "late")
+		if got := s.inPlace(); got != 0 {
+			t.Errorf("%d messages filled in place after the exchange failed", got)
+		}
+		mustRecv(t, s, 7, "late")
+		if !bytes.Equal(in, poison) {
+			t.Errorf("failed exchange's buffer was written: %x", in)
+		}
+	}},
+	{"exchange/deadline", func(t *testing.T, s subject) {
+		poison := bytes.Repeat([]byte{0xAA}, 8)
+		in := bytes.Clone(poison)
+		if _, err := s.exchange(7, []byte("ping"), in, short, nil); !errors.Is(err, comm.ErrTimeout) {
+			t.Fatalf("exchange nobody answers = %v, want ErrTimeout", err)
+		}
+		// Deregistered, like a timed-out Recv.
+		mustSend(t, s, 7, "late")
+		mustRecv(t, s, 7, "late")
+		if !bytes.Equal(in, poison) {
+			t.Errorf("timed-out exchange's buffer was written: %x", in)
+		}
+	}},
 	{"deadline/met", func(t *testing.T, s subject) {
 		req, err := s.irecv(7, make([]byte, 4), 10*time.Second)
 		if err != nil {
@@ -365,6 +480,64 @@ func TestCancelRacesDeliver(t *testing.T) {
 		}
 	}
 	t.Logf("cancel won %d rounds, deliver %d", wins[true], wins[false])
+}
+
+// TestExchangeCancelRacesFill: an exchange whose send fails while the
+// partner's message is arriving ends in exactly one of two states — the
+// cancel won (buffer untouched, message parked for the next receive) or
+// the fill won (buffer holds the whole message, nothing parked) — and in
+// both the buffer is quiescent once Exchange has returned: a fill that was
+// in flight is waited for, never abandoned half-written.
+func TestExchangeCancelRacesFill(t *testing.T) {
+	e := match.New()
+	errSend := errors.New("send failed")
+	payload := bytes.Repeat([]byte{0xFF}, 64)
+	poison := bytes.Repeat([]byte{0xAA}, 64)
+	slowFill := func(dst []byte) error {
+		copy(dst[:32], payload)
+		runtime.Gosched() // hold the fill open across the cancel attempt
+		copy(dst[32:], payload[32:])
+		return nil
+	}
+	wins := map[string]int{}
+	for i := 0; i < 2000; i++ {
+		in := bytes.Clone(poison)
+		start := make(chan struct{})
+		delivered := make(chan error, 1)
+		go func() {
+			<-start
+			delivered <- e.DeliverTo(1, 7, len(payload), slowFill)
+		}()
+		_, err := e.Exchange(1, 7, in, 0, func() error {
+			close(start)
+			if i%2 == 0 {
+				runtime.Gosched() // alternate who gets there first
+			}
+			return errSend
+		})
+		after := bytes.Clone(in) // the buffer as Exchange left it
+		if err != errSend {
+			t.Fatalf("round %d: Exchange = %v, want the send's error", i, err)
+		}
+		if err := <-delivered; err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case bytes.Equal(after, poison) && e.UnexpectedCount() == 1:
+			wins["cancel"]++
+			if n, err := e.Recv(1, 7, make([]byte, 64), 0); err != nil || n != 64 {
+				t.Fatalf("round %d: parked message: %d, %v", i, n, err)
+			}
+		case bytes.Equal(after, payload) && e.UnexpectedCount() == 0:
+			wins["fill"]++
+		default:
+			t.Fatalf("round %d: buffer %x with %d messages parked: neither outcome", i, after, e.UnexpectedCount())
+		}
+		if !bytes.Equal(in, after) {
+			t.Fatalf("round %d: buffer written after Exchange returned", i)
+		}
+	}
+	t.Logf("cancel won %d rounds, fill %d", wins["cancel"], wins["fill"])
 }
 
 // TestDeliverTo: one copy straight into a pre-posted buffer, staging
@@ -515,5 +688,14 @@ func TestAllocs(t *testing.T) {
 	})
 	if blocking != 0 {
 		t.Errorf("Deliver -> blocking Recv allocates %.0f objects, want 0", blocking)
+	}
+	fill := func(b []byte) error { return nil }
+	exchange := testing.AllocsPerRun(200, func() {
+		// The send half plays the partner too: its message finds the
+		// receive posted and is filled in place.
+		e.Exchange(1, 7, dst, 0, func() error { return e.DeliverTo(1, 7, 64, fill) })
+	})
+	if exchange != 0 {
+		t.Errorf("Exchange allocates %.0f objects, want 0", exchange)
 	}
 }

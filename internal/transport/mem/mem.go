@@ -1,9 +1,11 @@
 // Package mem provides an in-process implementation of comm.Comm: every
 // rank is a goroutine inside one OS process. A World is nothing but p
 // match.Engines — the same (source, tag) matcher tcp and shm deliver into —
-// plus the rank-kill flags: Send copies the payload into a pool buffer and
-// delivers it straight into the destination rank's engine, Recv and Irecv
-// post on the caller's own. Matching, FIFO, eager buffering, truncation,
+// plus the rank-kill flags: Send delivers straight into the destination
+// rank's engine — copied once into the receive's buffer when that is
+// already posted, staged in a pool buffer when not — Recv and Irecv post
+// on the caller's own, and SendRecv is the engine's receive-first
+// exchange. Matching, FIFO, eager buffering, truncation,
 // deadlines, purge and peer-death semantics are therefore internal/
 // transport/match's, not this package's.
 //
@@ -17,8 +19,8 @@
 //
 // The hot path is allocation-slim: eager payload copies come from the
 // internal/buf pool and return to it once consumed, successful sends share
-// one immutable request, a blocking Recv allocates nothing and an Irecv
-// exactly one object.
+// one immutable request, a blocking Recv or SendRecv allocates nothing and
+// an Irecv exactly one object.
 package mem
 
 import (
@@ -27,7 +29,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"exacoll/internal/buf"
 	"exacoll/internal/comm"
 	"exacoll/internal/transport/match"
 )
@@ -107,9 +108,11 @@ func (w *World) Kill(rank int) {
 }
 
 // Close shuts the world down; subsequent operations return ErrClosed and
-// blocked receives are released with ErrClosed.
+// blocked receives are released with ErrClosed. A closed world is one in
+// which every rank is dead: the flags are what Send consults.
 func (w *World) Close() {
-	for _, e := range w.engines {
+	for r, e := range w.engines {
+		w.dead[r].Store(true)
 		e.Fail(comm.ErrClosed)
 	}
 }
@@ -203,9 +206,26 @@ func (c *memComm) Send(to int, tag comm.Tag, b []byte) error {
 	if c.world.dead[to].Load() {
 		return fmt.Errorf("%w: send to killed rank %d", comm.ErrPeerDead, to)
 	}
-	payload := buf.Get(len(b))
-	copy(payload, b)
-	return c.world.engines[to].Deliver(c.rank, tag, payload)
+	return c.world.engines[to].DeliverTo(c.rank, tag, len(b), func(dst []byte) error {
+		copy(dst, b)
+		return nil
+	})
+}
+
+// SendRecv implements comm.SendRecver: the engine's receive-first exchange.
+func (c *memComm) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag comm.Tag) (int, error) {
+	if err := comm.CheckPeer(c.rank, from, c.Size()); err != nil {
+		return 0, err
+	}
+	return c.world.engines[c.rank].Exchange(from, tag, recvBuf, c.opTimeout, func() error {
+		return c.Send(to, tag, sendBuf)
+	})
+}
+
+// DeliveryStats reports how this rank's inbound messages reached their
+// receives (see match.Engine.DeliveryStats).
+func (c *memComm) DeliveryStats() (inPlace, staged match.Deliveries) {
+	return c.world.engines[c.rank].DeliveryStats()
 }
 
 func (c *memComm) Recv(from int, tag comm.Tag, buf []byte) (int, error) {

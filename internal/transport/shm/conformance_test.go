@@ -23,6 +23,14 @@ func TestTableIConformance(t *testing.T) {
 	})
 }
 
+// TestInPlaceDelivery: a receive posted before its message arrives is
+// filled straight out of the ring, inline and streamed payloads alike.
+func TestInPlaceDelivery(t *testing.T) {
+	w := shm.NewWorld(2)
+	defer w.Close()
+	transporttest.CheckInPlace(t, w)
+}
+
 // TestVCollConformance runs the skewed-size vector-collective matrix
 // (ragged and zero-count vectors, one-hot skew, int64 and float64) over
 // shared-memory rings against the mem reference.

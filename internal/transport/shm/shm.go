@@ -328,6 +328,25 @@ func (p *Proc) Recv(from int, tag comm.Tag, b []byte) (int, error) {
 	return p.engine.Recv(from, tag, b, time.Duration(p.opTimeout.Load()))
 }
 
+// SendRecv implements comm.SendRecver: the engine's receive-first
+// exchange. Send blocks until the whole payload has streamed through the
+// pair's ring, so only a receive posted before it lets the partner's
+// payload stream straight into recvBuf meanwhile.
+func (p *Proc) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag comm.Tag) (int, error) {
+	if err := comm.CheckPeer(p.rank, from, p.size); err != nil {
+		return 0, err
+	}
+	return p.engine.Exchange(from, tag, recvBuf, time.Duration(p.opTimeout.Load()), func() error {
+		return p.Send(to, tag, sendBuf)
+	})
+}
+
+// DeliveryStats reports how this rank's inbound messages reached their
+// receives (see match.Engine.DeliveryStats).
+func (p *Proc) DeliveryStats() (inPlace, staged match.Deliveries) {
+	return p.engine.DeliveryStats()
+}
+
 // readAbort is polled by a blocked payload read. readFull only invokes
 // it when the ring is empty, so "peer dead and nothing published" is
 // exactly the case where the remaining bytes can never arrive.

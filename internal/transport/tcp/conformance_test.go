@@ -23,16 +23,16 @@ func freeAddrT(t *testing.T) string {
 	return addr
 }
 
-// stripedTCPWorld adapts a striped loopback mesh to the conformance
+// meshWorld adapts a loopback mesh to the conformance
 // harness's World surface.
-type stripedTCPWorld struct {
+type meshWorld struct {
 	procs []*tcp.Proc
 	once  sync.Once
 }
 
-func (w *stripedTCPWorld) Comm(rank int) comm.Comm { return w.procs[rank] }
+func (w *meshWorld) Comm(rank int) comm.Comm { return w.procs[rank] }
 
-func (w *stripedTCPWorld) Close() {
+func (w *meshWorld) Close() {
 	w.once.Do(func() {
 		for _, p := range w.procs {
 			if p != nil {
@@ -58,8 +58,12 @@ func TestTableIConformanceStriped(t *testing.T) {
 // stripedFactory builds a 4-stripe loopback mesh with a 1 KiB striping
 // threshold — the configuration both conformance matrices run against.
 func stripedFactory(t *testing.T, p int) transporttest.World {
+	return mesh(t, p, tcp.Options{Timeout: 20 * time.Second, Stripes: 4, StripeThreshold: 1 << 10})
+}
+
+// mesh forms a p-rank loopback world with opts.
+func mesh(t *testing.T, p int, opts tcp.Options) transporttest.World {
 	addr := freeAddrT(t)
-	opts := tcp.Options{Timeout: 20 * time.Second, Stripes: 4, StripeThreshold: 1 << 10}
 	procs := make([]*tcp.Proc, p)
 	errs := make([]error, p)
 	var wg sync.WaitGroup
@@ -76,7 +80,15 @@ func stripedFactory(t *testing.T, p int) transporttest.World {
 			t.Fatalf("rank %d rendezvous: %v", r, err)
 		}
 	}
-	return &stripedTCPWorld{procs: procs}
+	return &meshWorld{procs: procs}
+}
+
+// TestInPlaceDelivery: on the single-connection wire a payload whose
+// receive is already posted is read off the socket straight into it.
+func TestInPlaceDelivery(t *testing.T) {
+	w := mesh(t, 2, tcp.Options{Timeout: 20 * time.Second})
+	defer w.Close()
+	transporttest.CheckInPlace(t, w)
 }
 
 // TestVCollConformanceStriped runs the skewed-size vector-collective

@@ -123,6 +123,11 @@ func (s *Shared) Irecv(from int, tag comm.Tag, buf []byte) (comm.Request, error)
 	return s.proc.irecv(from, tag, buf, time.Duration(s.opTimeout.Load()))
 }
 
+// SendRecv implements comm.SendRecver with this handle's deadline.
+func (s *Shared) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag comm.Tag) (int, error) {
+	return s.proc.sendRecv(to, sendBuf, from, recvBuf, tag, time.Duration(s.opTimeout.Load()))
+}
+
 // SetOpTimeout implements comm.Deadliner for this handle only — the whole
 // point of the pooled handle over a bare *Proc, whose deadline is global.
 func (s *Shared) SetOpTimeout(d time.Duration) {

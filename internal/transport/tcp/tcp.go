@@ -600,8 +600,15 @@ func (p *Proc) failPeerConn(peer int, err error) {
 }
 
 // readLoop demultiplexes inbound frames from one peer into the matching
-// engine.
+// engine. A payload whose receive is already posted is read off the socket
+// straight into that receive's buffer (match.Engine.DeliverTo).
 func (p *Proc) readLoop(peer int, conn net.Conn) {
+	fill := func(dst []byte) error {
+		if _, err := io.ReadFull(conn, dst); err != nil {
+			return peerDeadErr(peer, err)
+		}
+		return nil
+	}
 	for {
 		var hdr [headerSize]byte
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
@@ -620,13 +627,10 @@ func (p *Proc) readLoop(peer int, conn net.Conn) {
 			p.engine.FailPeer(peer, fmt.Errorf("tcp: bad frame from %d (src %d, len %d)", peer, src, n))
 			return
 		}
-		payload := scratch.Get(n)
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			scratch.Put(payload)
-			p.engine.FailPeer(peer, peerDeadErr(peer, err))
+		if err := p.engine.DeliverTo(src, tag, n, fill); err != nil {
+			p.engine.FailPeer(peer, err)
 			return
 		}
-		p.engine.Deliver(src, tag, payload)
 	}
 }
 
@@ -864,6 +868,26 @@ func (p *Proc) recv(from int, tag comm.Tag, buf []byte, d time.Duration) (int, e
 		return 0, err
 	}
 	return p.engine.Recv(from, tag, buf, d)
+}
+
+// SendRecv implements comm.SendRecver: the engine's receive-first exchange.
+func (p *Proc) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag comm.Tag) (int, error) {
+	return p.sendRecv(to, sendBuf, from, recvBuf, tag, time.Duration(p.opTimeout.Load()))
+}
+
+func (p *Proc) sendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag comm.Tag, d time.Duration) (int, error) {
+	if err := comm.CheckPeer(p.rank, from, p.size); err != nil {
+		return 0, err
+	}
+	return p.engine.Exchange(from, tag, recvBuf, d, func() error {
+		return p.send(to, tag, sendBuf, d)
+	})
+}
+
+// DeliveryStats reports how this rank's inbound messages reached their
+// receives (see match.Engine.DeliveryStats).
+func (p *Proc) DeliveryStats() (inPlace, staged match.Deliveries) {
+	return p.engine.DeliveryStats()
 }
 
 // Close tears down all connections (all stripes).

@@ -19,6 +19,7 @@ import (
 	"exacoll/internal/comm"
 	"exacoll/internal/core"
 	"exacoll/internal/datatype"
+	"exacoll/internal/transport/match"
 	"exacoll/internal/transport/mem"
 	"exacoll/internal/tuning"
 )
@@ -121,31 +122,39 @@ func buildArgs(op core.CollOp, rank, p, elems, root int, ints bool) (core.Args, 
 	panic(fmt.Sprintf("transporttest: unhandled op %v", op))
 }
 
-// runWorld executes the pinned collective on every rank of w and
-// returns each rank's result buffer.
-func runWorld(t *testing.T, w World, tab *tuning.Table, c Case, p, elems, root int, ints bool) [][]byte {
+// runRanks runs fn on every rank of w concurrently and returns each rank's
+// result.
+func runRanks(t *testing.T, w World, p int, what string, fn func(c comm.Comm) ([]byte, error)) [][]byte {
 	t.Helper()
 	out := make([][]byte, p)
 	errs := make([]error, p)
-	done := make(chan int, p)
+	done := make(chan struct{}, p)
 	for r := 0; r < p; r++ {
-		go func(r int, cm comm.Comm) {
-			defer func() { done <- r }()
-			a, res := buildArgs(c.Op, r, p, elems, root, ints)
-			errs[r] = tab.Run(cm, c.Op, a)
-			out[r] = res
+		go func(r int, c comm.Comm) {
+			out[r], errs[r] = fn(c)
+			done <- struct{}{}
 		}(r, w.Comm(r))
 	}
-	for i := 0; i < p; i++ {
+	for r := 0; r < p; r++ {
 		<-done
 	}
 	for r, err := range errs {
 		if err != nil {
-			t.Fatalf("%s k=%d p=%d elems=%d root=%d rank %d: %v",
-				c.Alg, c.K, p, elems, root, r, err)
+			t.Fatalf("%s rank %d: %v", what, r, err)
 		}
 	}
 	return out
+}
+
+// runWorld executes the pinned collective on every rank of w and
+// returns each rank's result buffer.
+func runWorld(t *testing.T, w World, tab *tuning.Table, c Case, p, elems, root int, ints bool) [][]byte {
+	t.Helper()
+	what := fmt.Sprintf("%s k=%d p=%d elems=%d root=%d", c.Alg, c.K, p, elems, root)
+	return runRanks(t, w, p, what, func(cm comm.Comm) ([]byte, error) {
+		a, res := buildArgs(c.Op, cm.Rank(), p, elems, root, ints)
+		return res, tab.Run(cm, c.Op, a)
+	})
 }
 
 // memWorld adapts the reference substrate.
@@ -154,13 +163,114 @@ type memWorld struct{ w *mem.World }
 func (m memWorld) Comm(rank int) comm.Comm { return m.w.Comm(rank) }
 func (m memWorld) Close()                  { m.w.Close() }
 
+// deliveryCounter is what the mem, shm and tcp handles expose of their
+// matcher's in-place/staged accounting.
+type deliveryCounter interface {
+	DeliveryStats() (inPlace, staged match.Deliveries)
+}
+
+// CheckInPlace asserts the one delivery rule on a world of at least two
+// ranks: a message whose receive is already posted is filled in place —
+// one copy, counted with its bytes — whether it is small enough to travel
+// inline or large enough to stream, and whether the receive was posted by
+// Irecv or by an exchange; a message that arrives first is staged. A
+// transport that reassembles before it delivers (striped tcp above its
+// threshold) does not satisfy it and is not held to it.
+func CheckInPlace(t *testing.T, w World) {
+	t.Helper()
+	c0, c1 := w.Comm(0), w.Comm(1)
+	counter, ok := c0.(deliveryCounter)
+	if !ok {
+		t.Fatalf("%T does not report delivery statistics", c0)
+	}
+	const tag = comm.TagUser + 78
+	delivered := func(step func()) (inPlace, staged match.Deliveries) {
+		ip0, st0 := counter.DeliveryStats()
+		step()
+		ip1, st1 := counter.DeliveryStats()
+		return match.Deliveries{Msgs: ip1.Msgs - ip0.Msgs, Bytes: ip1.Bytes - ip0.Bytes},
+			match.Deliveries{Msgs: st1.Msgs - st0.Msgs, Bytes: st1.Bytes - st0.Bytes}
+	}
+	for _, n := range []int{100, 256 << 10} {
+		msg := bytes.Repeat([]byte{byte(n)}, n)
+		got := make([]byte, n)
+
+		ip, st := delivered(func() {
+			req, err := c0.Irecv(1, tag, got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c1.Send(0, tag, msg); err != nil {
+				t.Fatal(err)
+			}
+			if err := req.Wait(); err != nil || !bytes.Equal(got, msg) {
+				t.Fatalf("pre-posted %d-byte receive: %v", n, err)
+			}
+		})
+		if ip != (match.Deliveries{Msgs: 1, Bytes: uint64(n)}) || st.Msgs != 0 {
+			t.Errorf("%d bytes into a pre-posted receive: %+v in place, %+v staged; want 1 message in place", n, ip, st)
+		}
+
+		ip, st = delivered(func() {
+			// Rank 1 replies only once it holds the exchange's message,
+			// which SendRecv sends only after posting its receive.
+			replied := make(chan error, 1)
+			go func() {
+				_, err := c1.Recv(0, tag, make([]byte, n))
+				if err == nil {
+					err = c1.Send(0, tag, msg)
+				}
+				replied <- err
+			}()
+			clear(got)
+			if _, err := comm.SendRecv(c0, 1, msg, 1, got, tag); err != nil || !bytes.Equal(got, msg) {
+				t.Fatalf("%d-byte exchange: %v", n, err)
+			}
+			if err := <-replied; err != nil {
+				t.Fatal(err)
+			}
+		})
+		if ip != (match.Deliveries{Msgs: 1, Bytes: uint64(n)}) || st.Msgs != 0 {
+			t.Errorf("%d-byte reply to an exchange: %+v in place, %+v staged; want 1 message in place", n, ip, st)
+		}
+
+		ip, st = delivered(func() {
+			if err := c1.Send(0, tag, msg); err != nil {
+				t.Fatal(err)
+			}
+			// Another round trip behind it: the first message has been
+			// delivered (and, with no receive posted, parked) by the time
+			// the second is received.
+			if err := c1.Send(0, tag+1, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c0.Recv(1, tag+1, nil); err != nil {
+				t.Fatal(err)
+			}
+			clear(got)
+			if _, err := c0.Recv(1, tag, got); err != nil || !bytes.Equal(got, msg) {
+				t.Fatalf("%d-byte message sent before its receive: %v", n, err)
+			}
+		})
+		if st.Msgs < 1 || st.Bytes < uint64(n) || ip.Bytes != 0 {
+			t.Errorf("%d bytes sent before the receive was posted: %+v in place, %+v staged; want it staged", n, ip, st)
+		}
+	}
+}
+
 // RunTableI drives the full Table I conformance matrix over the
 // transport built by factory: all 10 generalized algorithms at two
 // radixes each, world sizes {2, 5, 8, 16} (trimmed under -short),
 // zero-count and multi-KiB payloads, both float64 (bit-exactness under
 // identical association) and int64, and both endpoints of the root
-// range for rooted collectives.
+// range for rooted collectives. The recursive-halving reduce-scatter
+// family rides along (RunHalving): not Table I algorithms, but the
+// large-message composite every transport's exchange path is tuned for.
 func RunTableI(t *testing.T, factory Factory) {
+	t.Run("reduce_scatter_family", func(t *testing.T) {
+		t.Parallel()
+		RunHalving(t, factory)
+	})
 	ps := []int{2, 5, 8, 16}
 	elemsSet := []int{0, 1, 33, 1024}
 	if testing.Short() {

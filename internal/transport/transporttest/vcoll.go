@@ -159,26 +159,11 @@ func sumInts(v []int) int {
 // and returns each rank's result buffer.
 func runVCollWorld(t *testing.T, w World, tab *tuning.Table, c VCollCase, p int, counts, m []int, ints bool) [][]byte {
 	t.Helper()
-	out := make([][]byte, p)
-	errs := make([]error, p)
-	done := make(chan int, p)
-	for r := 0; r < p; r++ {
-		go func(r int, cm comm.Comm) {
-			defer func() { done <- r }()
-			a, res := buildVCollArgs(c.Op, r, p, counts, m, ints)
-			errs[r] = tab.Run(cm, c.Op, a)
-			out[r] = res
-		}(r, w.Comm(r))
-	}
-	for i := 0; i < p; i++ {
-		<-done
-	}
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("%s k=%d p=%d ints=%v rank %d: %v", c.Alg, c.K, p, ints, r, err)
-		}
-	}
-	return out
+	what := fmt.Sprintf("%s k=%d p=%d ints=%v", c.Alg, c.K, p, ints)
+	return runRanks(t, w, p, what, func(cm comm.Comm) ([]byte, error) {
+		a, res := buildVCollArgs(c.Op, cm.Rank(), p, counts, m, ints)
+		return res, tab.Run(cm, c.Op, a)
+	})
 }
 
 // RunVColl drives the skewed-size conformance matrix over the transport

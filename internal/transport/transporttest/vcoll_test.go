@@ -15,3 +15,21 @@ func TestVCollMem(t *testing.T) {
 		return memWorld{mem.NewWorld(p)}
 	})
 }
+
+// TestTableIMem runs the Table I matrix with mem as the candidate too. For
+// the Table I algorithms that is a self-check of the harness; for the
+// reduce-scatter family, whose reference is an independent in-process fold
+// (halvingReference), it is the conformance test of the algorithms
+// themselves on the reference substrate.
+func TestTableIMem(t *testing.T) {
+	RunTableI(t, func(t *testing.T, p int) World {
+		return memWorld{mem.NewWorld(p)}
+	})
+}
+
+// TestInPlaceMem holds the mem transport to the one delivery rule.
+func TestInPlaceMem(t *testing.T) {
+	w := mem.NewWorld(2)
+	defer w.Close()
+	CheckInPlace(t, memWorld{w})
+}

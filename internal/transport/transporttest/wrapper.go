@@ -30,9 +30,11 @@ const wrapperTag = comm.TagUser + 77
 //     report the substrate's time and ChargeCompute must advance it.
 //
 // Over both, comm.Walk must reach the substrate, comm.SendRecv must
-// exchange through the wrapper, and receive requests must stay pollable
-// (comm.Tester). Traffic uses application tags; wrap must be the identity
-// on ranks (wrap a SubComm over all ranks).
+// exchange through the wrapper — reaching the transport's own SendRecv, so
+// the receive is posted before the send and the partner's message is
+// filled in place — and receive requests must stay pollable (comm.Tester).
+// Traffic uses application tags; wrap must be the identity on ranks (wrap
+// a SubComm over all ranks).
 func CheckWrapper(t *testing.T, wrap func(comm.Comm) comm.Comm) {
 	t.Helper()
 	t.Run("mem", func(t *testing.T) { checkWrapperMem(t, wrap) })
@@ -88,6 +90,34 @@ func checkWrapperMem(t *testing.T, wrap func(comm.Comm) comm.Comm) {
 	}
 	if err := <-pong; err != nil {
 		t.Fatalf("SendRecv peer: %v", err)
+	}
+
+	// ... and it is the transport's exchange that ran, not the generic
+	// Isend-then-Recv: a probe between wrapper and transport counts the
+	// calls, and a peer that replies only once it holds the exchange's
+	// message finds the receive already posted, so the reply is filled in
+	// place.
+	probe := &exchangeProbe{Comm: base, native: base.(comm.SendRecver)}
+	pc0 := wrap(probe)
+	inPlaceBefore, _ := base.(deliveryCounter).DeliveryStats()
+	go func() {
+		_, err := c1.Recv(0, wrapperTag, make([]byte, 4))
+		if err == nil {
+			err = c1.Send(0, wrapperTag, []byte("pong"))
+		}
+		pong <- err
+	}()
+	if _, err := comm.SendRecv(pc0, 1, []byte("ping"), 1, got, wrapperTag); err != nil {
+		t.Fatalf("SendRecv through the wrapper: %v", err)
+	}
+	if err := <-pong; err != nil {
+		t.Fatalf("SendRecv peer: %v", err)
+	}
+	if probe.exchanges != 1 {
+		t.Errorf("an exchange through the wrapper reached the transport's SendRecv %d times, want 1", probe.exchanges)
+	}
+	if inPlace, _ := base.(deliveryCounter).DeliveryStats(); inPlace.Msgs != inPlaceBefore.Msgs+1 {
+		t.Errorf("the exchange's reply was not filled in place (%d in-place deliveries, had %d)", inPlace.Msgs, inPlaceBefore.Msgs)
 	}
 
 	// Tester: the wrapper's receive requests stay pollable.
@@ -158,6 +188,19 @@ func checkWrapperMem(t *testing.T, wrap func(comm.Comm) comm.Comm) {
 	if f := fd.Failed(); !reflect.DeepEqual(f, []int{1}) {
 		t.Errorf("Failed() = %v after killing rank 1, want [1]", f)
 	}
+}
+
+// exchangeProbe stands between a wrapper and the transport and counts the
+// exchanges that arrive as one SendRecv call.
+type exchangeProbe struct {
+	comm.Comm
+	native    comm.SendRecver
+	exchanges int
+}
+
+func (p *exchangeProbe) SendRecv(to int, sendBuf []byte, from int, recvBuf []byte, tag comm.Tag) (int, error) {
+	p.exchanges++
+	return p.native.SendRecv(to, sendBuf, from, recvBuf, tag)
 }
 
 func checkWrapperSim(t *testing.T, wrap func(comm.Comm) comm.Comm) {
